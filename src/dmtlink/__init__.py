@@ -2,140 +2,47 @@
 
 Submodules: core (types/constellations), txdsp (transmit chain), loading
 (SNR estimation and bit/power loading), channel (optical link model),
-rxdsp (receive chain), harness (experiments), cli (command line).
+rxdsp (receive chain), harness (experiments), cli (command line).  The
+package namespace carries what a harness user needs; every other name is
+imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .channel import (
-    FilterSpec,
-    LinkConfig,
-    SPEED_OF_LIGHT,
-    end_to_end_fading_profile,
-    fiber_cd,
-    load_noise_to_osnr,
-    mzm,
-    optical_filter,
-    photodiode,
-    rx_frontend,
-    wdm_mux,
-)
-from .core import (
-    BerReport,
-    DmtConfig,
-    InfeasibleRateError,
-    OpticalField,
-    RealWaveform,
-    SubcarrierPlan,
-    frame_geometry,
-    target_bits_per_symbol,
-)
+from .channel import LinkConfig
+from .core import DmtConfig, InfeasibleRateError
 from .harness import (
     InfeasibleOsnrError,
-    RATES_448G,
     RunRecord,
     ScenarioConfig,
-    SweepResult,
-    TABLE_SCENARIOS,
-    TableRow,
-    analytic_fading,
+    evaluate_point,
     persist_run,
     rate_reach_table,
     required_osnr,
     run_link,
-    scenario_hash,
     sweep_detuning,
+    sweep_osnr,
+    sweep_reach,
 )
-from .loading import (
-    GapConfig,
-    SnrProfile,
-    chow_load,
-    estimate_snr,
-    gap_from_ber,
-    levin_campello_oracle,
-)
-from .rxdsp import (
-    DemodulatedFrame,
-    EqualizerState,
-    SyncNotFoundError,
-    SyncResult,
-    channel_estimate,
-    count_errors,
-    dd_equalize,
-    demap_frame,
-    demodulate,
-    resample,
-    schmidl_cox_sync,
-    sqrt_linearize,
-)
-from .txdsp import (
-    DmtFrame,
-    build_training_symbols,
-    clip,
-    dac,
-    decorrelate_shift,
-    modulate_frame,
-    symbols_to_waveform,
-)
+from .loading import GapConfig
+from .rxdsp import SyncNotFoundError
 
 __all__ = [
-    "BerReport",
-    "DemodulatedFrame",
     "DmtConfig",
-    "DmtFrame",
-    "EqualizerState",
-    "FilterSpec",
     "GapConfig",
     "InfeasibleOsnrError",
     "InfeasibleRateError",
     "LinkConfig",
-    "OpticalField",
-    "RATES_448G",
-    "RealWaveform",
     "RunRecord",
     "ScenarioConfig",
-    "SnrProfile",
-    "SPEED_OF_LIGHT",
-    "SubcarrierPlan",
-    "SweepResult",
     "SyncNotFoundError",
-    "SyncResult",
-    "TABLE_SCENARIOS",
-    "TableRow",
-    "analytic_fading",
-    "build_training_symbols",
-    "channel_estimate",
-    "chow_load",
-    "clip",
-    "count_errors",
-    "dac",
-    "dd_equalize",
-    "decorrelate_shift",
-    "demap_frame",
-    "demodulate",
-    "end_to_end_fading_profile",
-    "estimate_snr",
-    "fiber_cd",
-    "frame_geometry",
-    "gap_from_ber",
-    "levin_campello_oracle",
-    "load_noise_to_osnr",
-    "modulate_frame",
-    "mzm",
-    "optical_filter",
+    "evaluate_point",
     "persist_run",
-    "photodiode",
     "rate_reach_table",
     "required_osnr",
-    "resample",
     "run_link",
-    "rx_frontend",
-    "scenario_hash",
-    "schmidl_cox_sync",
-    "sqrt_linearize",
     "sweep_detuning",
-    "symbols_to_waveform",
-    "target_bits_per_symbol",
-    "wdm_mux",
+    "sweep_osnr",
+    "sweep_reach",
     "__version__",
 ]

@@ -115,8 +115,6 @@ class LinkConfig:
         Receiver front-end -3 dB bandwidth, Hz.
     rx_sample_rate : float
         Capture rate of the receiver, Hz.
-    launch_power_dbm : float
-        Bookkeeping only; the simulation is linear in launch power.
     composite_rate : float or None
         Sample rate of the multiplexed grid; ``None`` picks 256 GS/s when
         the lit carriers' sidebands fit below 128 GHz and 512 GS/s
@@ -147,7 +145,6 @@ class LinkConfig:
     osnr_db: float = np.inf
     rx_bandwidth: float = 29.4e9
     rx_sample_rate: float = 80e9
-    launch_power_dbm: float = 0.0
     composite_rate: float | None = None
     vpi: float = 2.0
     drive_swing: float = 0.2

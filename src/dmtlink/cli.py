@@ -30,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +43,12 @@ from .harness import (
     analytic_fading,
     persist_run,
     rate_reach_table,
-    required_osnr,
     run_link,
     scenario_hash,
     sweep_detuning,
+    sweep_osnr,
+    sweep_reach,
 )
-from .harness import _pool_map, _seed_int, _worst_ber_task
 from .channel import end_to_end_fading_profile
 from .loading import GapConfig
 from .rxdsp import SyncNotFoundError
@@ -70,7 +69,6 @@ DEFAULT_CONFIG = {
     "osnr_db": None,
     "rx_bandwidth_ghz": 29.4,
     "rx_sample_rate_gsps": 80.0,
-    "launch_power_dbm": 0.0,
     "composite_rate_gsps": None,
     "vpi_v": 2.0,
     "drive_swing": 0.2,
@@ -142,7 +140,6 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             osnr_db=np.inf if osnr is None else float(osnr),
             rx_bandwidth=float(cfg["rx_bandwidth_ghz"]) * 1e9,
             rx_sample_rate=float(cfg["rx_sample_rate_gsps"]) * 1e9,
-            launch_power_dbm=float(cfg["launch_power_dbm"]),
             composite_rate=None if composite is None else float(composite) * 1e9,
             vpi=float(cfg["vpi_v"]),
             drive_swing=float(cfg["drive_swing"]),
@@ -343,43 +340,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series = [("BER", values, _log_ber(sweep.ber))]
         labels = ("laser detuning (GHz)", "log10(BER)", "BER vs detuning")
     elif args.axis == "osnr":
-        tasks = [
-            (
-                replace(sc, link=replace(sc.link, osnr_db=float(v))),
-                _seed_int(args.seed, 404, round(float(v) * 1e6)),
-                None,
-            )
-            for v in values
-        ]
-        bers = np.array(_pool_map(tasks, args.workers, fn=_worst_ber_task))
-        rows = [(float(v), float(b)) for v, b in zip(values, bers)]
+        sweep = sweep_osnr(sc, values, seed=args.seed, workers=args.workers)
+        rows = [(float(v), float(b)) for v, b in zip(values, sweep.ber)]
         _write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], rows)
-        crossing = _osnr_crossing(values, bers, target)
+        crossing = _osnr_crossing(values, sweep.ber, target)
         if crossing is None:
             print(f"no OSNR in range reaches BER {target:.1e}")
         else:
             print(f"required OSNR (BER < {target:.1e}): {crossing:.2f} dB")
-        series = [("BER", values, _log_ber(bers))]
+        series = [("BER", values, _log_ber(sweep.ber))]
         labels = ("OSNR (dB)", "log10(BER)", "BER vs OSNR")
     else:  # reach
         detunings = args.series_detuning_ghz
-        header = ["reach_km"]
-        columns = []
-        for det in detunings:
-            osnrs = []
-            for reach in values:
-                spans = (float(reach),) if reach > 0 else ()
-                trial = replace(
-                    sc, link=replace(sc.link, span_lengths_km=spans, detuning=det * 1e9)
-                )
-                try:
-                    osnrs.append(
-                        required_osnr(trial, target_ber=target, seed=args.seed)
-                    )
-                except InfeasibleOsnrError:
-                    osnrs.append(np.inf)
-            columns.append(np.array(osnrs))
-            header.append(f"required_osnr_db_{det:g}ghz")
+        columns = sweep_reach(
+            sc, values, [det * 1e9 for det in detunings], target_ber=target, seed=args.seed
+        )
+        header = ["reach_km"] + [f"required_osnr_db_{det:g}ghz" for det in detunings]
         rows = [
             tuple([float(v)] + [float(col[i]) for col in columns])
             for i, v in enumerate(values)

@@ -22,8 +22,6 @@ __all__ = [
     "FrameGeometry",
     "InfeasibleRateError",
     "constellation",
-    "qam_map",
-    "qam_demap",
     "map_symbols",
     "demap_symbols",
     "bits_to_groups",
@@ -330,14 +328,6 @@ def groups_to_bits(groups: np.ndarray, b: int) -> np.ndarray:
     return ((groups[:, None] >> shifts) & 1).reshape(-1)
 
 
-def qam_map(bit_group, b: int) -> complex:
-    """Map one MSB-first bit group onto its constellation point."""
-    group = np.asarray(bit_group, dtype=np.int64)
-    if group.size != b:
-        raise ValueError(f"bit group must have length b = {b}")
-    return complex(constellation(b)[int(bits_to_groups(group, b)[0])])
-
-
 def map_symbols(groups: np.ndarray, b: int) -> np.ndarray:
     """Vectorized bit-group-index -> constellation-point lookup."""
     return constellation(b)[np.asarray(groups, dtype=np.int64)]
@@ -359,12 +349,6 @@ def demap_symbols(points: np.ndarray, b: int) -> np.ndarray:
         d2 = (seg.real[:, None] - tx) ** 2 + (seg.imag[:, None] - ty) ** 2
         out[lo : lo + chunk] = np.argmin(d2, axis=1)
     return out
-
-
-def qam_demap(point: complex, b: int) -> np.ndarray:
-    """Hard-decide one received point back to its MSB-first bit group."""
-    idx = demap_symbols(np.array([point]), b)
-    return groups_to_bits(idx, b)
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,15 @@ __all__ = [
     "TABLE_SCENARIOS",
     "TableRow",
     "analytic_fading",
+    "evaluate_point",
     "persist_run",
     "rate_reach_table",
     "required_osnr",
     "run_link",
     "scenario_hash",
     "sweep_detuning",
+    "sweep_osnr",
+    "sweep_reach",
 ]
 
 RATES_448G = {4: 112e9, 5: 89.6e9, 6: 74.7e9, 7: 64e9, 8: 56e9}
@@ -498,33 +501,14 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     )
 
 
-def _run_link_task(args) -> RunRecord:
-    """Picklable pool task: (scenario, seed, channels) -> RunRecord."""
-    sc, seed, channels = args
-    return run_link(sc, seed, channels)
+def evaluate_point(sc: ScenarioConfig, seed: int, channels=None) -> dict:
+    """BER of each requested channel at one seeded operating point.
 
-
-def _worst_ber_task(args) -> float:
-    """Picklable pool task: (scenario, seed, channels) -> worst BER.
-
-    A point where the link cannot operate — the rate does not load, or
-    frame timing is unrecoverable — counts as BER 1.
+    A point where the link cannot operate at all — the rate does not load,
+    or frame timing is unrecoverable — counts as BER 1 on every requested
+    channel: the operating point fails, it does not crash.  ``channels``
+    defaults to the channel under test, as in ``run_link``.
     """
-    sc, seed, channels = args
-    try:
-        return run_link(sc, seed, channels).worst_ber
-    except (InfeasibleRateError, SyncNotFoundError):
-        return 1.0
-
-
-def _table_cell_task(args) -> dict:
-    """Picklable pool task: (scenario, seed, channels) -> {channel: ber}.
-
-    A cell where the link cannot operate at all — the rate does not load,
-    or frame timing is unrecoverable — is recorded as BER 1 on every
-    requested channel: the operating point fails, it does not crash.
-    """
-    sc, seed, channels = args
     requested = (sc.link.cut_index,) if channels is None else tuple(channels)
     try:
         record = run_link(sc, seed, channels)
@@ -533,15 +517,16 @@ def _table_cell_task(args) -> dict:
     return {ch: record.reports[ch].ber for ch in requested}
 
 
-def _pool_map(tasks, workers, fn=_run_link_task):
-    """Map a picklable task over tuples, serially or on a process pool.
+def _pool_map(tasks, workers):
+    """Map ``evaluate_point`` over (scenario, seed, channels) tuples.
 
-    Results merge by task index, so parallel output is identical to serial.
+    Runs serially or on a process pool; results merge by task index, so
+    parallel output is identical to serial.
     """
     if not workers or workers <= 1:
-        return [fn(t) for t in tasks]
+        return [evaluate_point(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(evaluate_point, *zip(*tasks)))
 
 
 def required_osnr(
@@ -573,12 +558,7 @@ def required_osnr(
 
     def point(osnr_db: float) -> float:
         if osnr_db not in cache:
-            trial = replace(sc, link=replace(sc.link, osnr_db=osnr_db))
-            point_seed = _seed_int(seed, 404, round(osnr_db * 1e6))
-            try:
-                cache[osnr_db] = run_link(trial, point_seed).worst_ber
-            except (InfeasibleRateError, SyncNotFoundError):
-                cache[osnr_db] = 1.0
+            cache[osnr_db] = float(sweep_osnr(sc, [osnr_db], seed=seed).ber[0])
         return cache[osnr_db]
 
     if point(hi) >= target_ber:
@@ -594,6 +574,29 @@ def required_osnr(
         else:
             lo = mid
     return hi
+
+
+def sweep_osnr(
+    sc: ScenarioConfig, osnrs, seed: int = 0, workers: int | None = None
+) -> SweepResult:
+    """BER of the channel under test at each OSNR (dB).
+
+    ``required_osnr`` takes its probes from here, so a sweep point and a
+    search probe at the same OSNR and seed agree.  A point where the link
+    cannot operate counts as BER 1 (see ``evaluate_point``).
+    """
+    osnrs = np.asarray(list(osnrs), dtype=np.float64)
+    tasks = [
+        (
+            replace(sc, link=replace(sc.link, osnr_db=float(v))),
+            _seed_int(seed, 404, round(float(v) * 1e6)),
+            None,
+        )
+        for v in osnrs
+    ]
+    return SweepResult(
+        axis=osnrs, ber=[max(cell.values()) for cell in _pool_map(tasks, workers)]
+    )
 
 
 def sweep_detuning(
@@ -614,7 +617,36 @@ def sweep_detuning(
         )
         for i, off in enumerate(offsets)
     ]
-    return SweepResult(axis=offsets, ber=_pool_map(tasks, workers, fn=_worst_ber_task))
+    return SweepResult(
+        axis=offsets, ber=[max(cell.values()) for cell in _pool_map(tasks, workers)]
+    )
+
+
+def sweep_reach(
+    sc: ScenarioConfig,
+    reaches_km,
+    detunings_hz,
+    target_ber: float = 4e-3,
+    seed: int = 0,
+) -> np.ndarray:
+    """Required OSNR (dB) at each reach, one row per laser detuning.
+
+    Returns an array of shape ``(len(detunings_hz), len(reaches_km))``; a
+    point whose target BER is missed even at the top of the OSNR bracket is
+    ``inf``.  The searches run one after another in this process.
+    """
+    out = np.empty((len(detunings_hz), len(reaches_km)))
+    for i, det in enumerate(detunings_hz):
+        for j, reach in enumerate(reaches_km):
+            spans = (float(reach),) if reach > 0 else ()
+            trial = replace(
+                sc, link=replace(sc.link, span_lengths_km=spans, detuning=float(det))
+            )
+            try:
+                out[i, j] = required_osnr(trial, target_ber=target_ber, seed=seed)
+            except InfeasibleOsnrError:
+                out[i, j] = np.inf
+    return out
 
 
 def _neighborhood_scenario(sc: ScenarioConfig, n_channels: int, ch: int) -> ScenarioConfig:
@@ -674,7 +706,7 @@ def rate_reach_table(
                 span_lengths_km=spans,
             )
             sc = replace(base, link=link, net_rate=net_rate)
-            cell = _table_cell_task((sc, _seed_int(seed, 606, s_idx), range(n_channels)))
+            cell = evaluate_point(sc, _seed_int(seed, 606, s_idx), range(n_channels))
             bers = tuple(cell[ch] for ch in range(n_channels))
         else:
             sc = replace(base, net_rate=net_rate)
@@ -683,7 +715,7 @@ def rate_reach_table(
                 hood = _neighborhood_scenario(sc, n_channels, ch)
                 hood = replace(hood, link=replace(hood.link, span_lengths_km=spans))
                 tasks.append((hood, _seed_int(seed, 606, s_idx, ch), None))
-            cells = _pool_map(tasks, workers, fn=_table_cell_task)
+            cells = _pool_map(tasks, workers)
             bers = tuple(cell[1] for cell in cells)
         rows.append(
             TableRow(

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import DmtConfig, InfeasibleRateError, SubcarrierPlan, _freeze
 
@@ -59,7 +59,9 @@ def gap_from_ber(target_ber: float) -> float:
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError(f"target_ber must lie in (0, 0.5), got {target_ber}")
-    return float(norm.isf(target_ber / 2.0) ** 2 / 3.0)
+    # Qinv(p) = -Phi^-1(p); squaring drops the sign, and Phi^-1(p) keeps the
+    # digits that Phi^-1(1 - p) would lose to the subtraction
+    return NormalDist().inv_cdf(target_ber / 2.0) ** 2 / 3.0
 
 
 @dataclass(frozen=True)

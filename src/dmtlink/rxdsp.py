@@ -25,9 +25,9 @@ from .core import (
     DmtConfig,
     RealWaveform,
     SubcarrierPlan,
-    constellation,
     demap_symbols,
     groups_to_bits,
+    map_symbols,
     _freeze,
 )
 
@@ -276,8 +276,9 @@ def dd_equalize(
     mu = state.step
     scale = np.sqrt(plan.powers)
     active = plan.bits > 0
-    tables = {b: constellation(int(b)) for b in np.unique(plan.bits[active])}
-    by_order = {b: np.flatnonzero(active & (plan.bits == b)) for b in tables}
+    by_order = {
+        int(b): np.flatnonzero(plan.bits == b) for b in np.unique(plan.bits[active])
+    }
 
     equalized = np.empty_like(rows)
     for k in range(rows.shape[0]):
@@ -287,12 +288,8 @@ def dd_equalize(
             continue
         decisions = np.zeros(plan.n_subcarriers, dtype=np.complex128)
         for b, cols in by_order.items():
-            table = tables[b]
-            normalized = z[cols] / scale[cols]
-            nearest = np.argmin(
-                np.abs(normalized[:, None] - table[None, :]), axis=1
-            )
-            decisions[cols] = table[nearest] * scale[cols]
+            nearest = demap_symbols(z[cols] / scale[cols], b)
+            decisions[cols] = map_symbols(nearest, b) * scale[cols]
         taps[active] = (1 - mu) * taps[active] + mu * rows[k, active] / decisions[active]
     return equalized, EqualizerState(taps=taps, step=mu)
 

@@ -21,6 +21,7 @@ is the slowest part of the suite by design.
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -77,26 +78,29 @@ def _ladder_scenario(rate: float, reach_km: float, detuning: float) -> ScenarioC
     )
 
 
+def _ladder_point(point) -> float:
+    """Required OSNR at one (rate, reach, detuning) point, +inf if unreachable."""
+    rate, reach, detuning = point
+    try:
+        return required_osnr(_ladder_scenario(rate, reach, detuning), tol_db=0.125, seed=11)
+    except InfeasibleOsnrError:
+        return np.inf
+
+
 @pytest.fixture(scope="module")
 def osnr_ladder():
     """Required OSNR over (rate, reach, detuning) points used by criteria 6-7.
 
     Values are bisection results at 0.125 dB quantization with a fixed
     seed; a point whose target BER is unreachable in the bracket maps to
-    +inf (it needs more OSNR than any finite competitor).
+    +inf (it needs more OSNR than any finite competitor).  Each search
+    depends only on its point and seed, so the points run on two worker
+    processes.
     """
-    ladder = {}
     points = [(rate, reach, 19e9) for reach in (0.0, 50.0) for rate in RATES]
     points += [(rate, 50.0, 0.0) for rate in RATES[1:]]
-    for rate, reach, detuning in points:
-        try:
-            value = required_osnr(
-                _ladder_scenario(rate, reach, detuning), tol_db=0.125, seed=11
-            )
-        except InfeasibleOsnrError:
-            value = np.inf
-        ladder[(rate, reach, detuning)] = value
-    return ladder
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return dict(zip(points, pool.map(_ladder_point, points)))
 
 
 class TestAcceptance:
@@ -268,7 +272,7 @@ class TestAcceptance:
                     min_bits=400_000,
                 )
                 sc = replace(sc, link=replace(sc.link, osnr_db=osnr))
-                argmins[rate] = sweep_detuning(sc, offsets, seed=13).argmin_axis
+                argmins[rate] = sweep_detuning(sc, offsets, seed=13, workers=2).argmin_axis
                 assert argmins[rate] > 0.0, f"{rate / 1e9:g} Gb/s best at 0 GHz"
             span = max(argmins.values()) - min(argmins.values())
             assert span <= step + 1.0, (
@@ -338,13 +342,13 @@ class TestAcceptance:
             fail_set = ((5, 112e9, 40.0), (6, 89.6e9, 80.0), (7, 74.7e9, 160.0), (8, 64e9, 240.0))
 
             violations = []
-            for row in rate_reach_table(base, seed=7, scenarios=pass_set):
+            for row in rate_reach_table(base, seed=7, workers=2, scenarios=pass_set):
                 if not row.passes:
                     violations.append(
                         f"{row.n_channels} x {row.net_rate / 1e9:g} Gb/s at "
                         f"{row.reach_km:g} km: worst BER {row.worst_ber:.3e}"
                     )
-            for row in rate_reach_table(base, seed=7, scenarios=fail_set):
+            for row in rate_reach_table(base, seed=7, workers=2, scenarios=fail_set):
                 if row.passes:
                     violations.append(
                         f"{row.n_channels} x {row.net_rate / 1e9:g} Gb/s at "

@@ -1,11 +1,13 @@
 """Tests for the command-line surface: configs, exit codes, and outputs."""
 
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmtlink.cli
 from dmtlink.cli import (
     DEFAULT_CONFIG,
     OUT_DIR_ENV,
@@ -24,6 +26,17 @@ def _write_config(tmp_path: Path, **overrides) -> str:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_cli_imports_no_private_names():
+    """The CLI is a shell over public names: it imports nothing underscored."""
+    names = []
+    for node in ast.walk(ast.parse(Path(dmtlink.cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [part for alias in node.names for part in alias.name.split(".")]
+    assert [name for name in names if name.startswith("_")] == []
 
 
 class TestConfigLoading:
@@ -197,7 +210,12 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert [float(line.split(",")[0]) for line in lines[1:]] == [14.0, 19.0]
 
-    def test_parallel_matches_serial_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "axis, start, stop, step",
+        [("detuning", "14", "19", "5"), ("osnr", "29", "31", "2")],
+        ids=["detuning", "osnr"],
+    )
+    def test_parallel_matches_serial_byte_identical(self, tmp_path, axis, start, stop, step):
         """Same scenario and seed give byte-identical CSVs at any worker count."""
         cfg = _write_config(tmp_path, **self.OPTICAL)
         base = [
@@ -205,13 +223,13 @@ class TestSweepCommand:
             "--config",
             cfg,
             "--axis",
-            "detuning",
+            axis,
             "--start",
-            "14",
+            start,
             "--stop",
-            "19",
+            stop,
             "--step",
-            "5",
+            step,
             "--seed",
             "5",
         ]

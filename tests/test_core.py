@@ -17,8 +17,6 @@ from dmtlink.core import (
     frame_geometry,
     groups_to_bits,
     map_symbols,
-    qam_demap,
-    qam_map,
     target_bits_per_symbol,
 )
 
@@ -41,12 +39,13 @@ class TestConstellations:
 
     def test_qpsk_documented_corner(self):
         """Bit group [0,0] maps to the (+,+) unit-energy QPSK corner."""
-        point = qam_map([0, 0], 2)
+        (point,) = map_symbols(bits_to_groups([0, 0], 2), 2)
         assert point == pytest.approx((1 + 1j) / np.sqrt(2))
 
     def test_bpsk_zero_bit(self):
-        assert qam_map([0], 1) == pytest.approx(1 + 0j)
-        assert qam_map([1], 1) == pytest.approx(-1 + 0j)
+        points = map_symbols(bits_to_groups([0, 1], 1), 1)
+        assert points[0] == pytest.approx(1 + 0j)
+        assert points[1] == pytest.approx(-1 + 0j)
 
     def test_gray_property_even_orders(self):
         """Minimum-distance neighbors differ in exactly one bit (square QAM)."""
@@ -60,25 +59,24 @@ class TestConstellations:
             assert np.all(hamming == 1), f"order 2^{b} breaks the Gray property"
 
     def test_roundtrip_exhaustive(self):
-        """qam_demap(qam_map(x)) = x for every pattern of every order."""
+        """Demapping the mapped points returns every bit pattern of every order."""
         for b in range(1, 9):
-            for value in range(1 << b):
-                bits = [(value >> (b - 1 - k)) & 1 for k in range(b)]
-                point = qam_map(bits, b)
-                assert list(qam_demap(point, b)) == bits
+            bits = [(value >> (b - 1 - k)) & 1 for value in range(1 << b) for k in range(b)]
+            points = map_symbols(bits_to_groups(bits, b), b)
+            assert list(groups_to_bits(demap_symbols(points, b), b)) == bits
 
     def test_demap_far_point_nearest_quadrant(self):
-        assert list(qam_demap(10 + 10j, 2)) == [0, 0]
+        assert list(groups_to_bits(demap_symbols([10 + 10j], 2), 2)) == [0, 0]
 
     def test_demap_tie_breaks_lexicographically(self):
         """A point equidistant from +1 and -1 decides for the smaller group."""
-        assert list(qam_demap(0 + 0j, 1)) == [0]
+        assert list(groups_to_bits(demap_symbols([0 + 0j], 1), 1)) == [0]
 
     def test_order_bounds_rejected(self):
         with pytest.raises(ValueError):
-            qam_map([0] * 9, 9)
+            map_symbols(bits_to_groups([0] * 9, 9), 9)
         with pytest.raises(ValueError):
-            qam_demap(0j, 0)
+            demap_symbols([0j], 0)
 
     def test_odd_orders_sit_on_documented_grids(self):
         """Cross-32/128 occupy the standard odd-integer cross lattices."""

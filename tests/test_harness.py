@@ -1,11 +1,15 @@
 """Tests for the experiment harness: runs, bisection, sweeps, persistence."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dmtlink.harness as harness_mod
 from dmtlink.channel import LinkConfig
+from dmtlink.core import InfeasibleRateError
 from dmtlink.harness import (
     InfeasibleOsnrError,
     RATES_448G,
@@ -15,12 +19,15 @@ from dmtlink.harness import (
     TableRow,
     _neighborhood_scenario,
     analytic_fading,
+    evaluate_point,
     persist_run,
     required_osnr,
     run_link,
     scenario_hash,
     sweep_detuning,
+    sweep_reach,
 )
+from dmtlink.rxdsp import SyncNotFoundError
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -131,6 +138,40 @@ class TestRunLink:
         assert scenario_hash(sc) in str(excinfo.value)
 
 
+class TestEvaluatePoint:
+    def test_rate_not_loading_is_ber_one_on_every_channel(self, monkeypatch):
+        sc = _fast_optical(net_rate=200e9, osnr_db=50.0)
+        assert evaluate_point(sc, seed=0) == {1: 1.0}
+
+        def not_loading(sc, seed, channels=None):
+            raise InfeasibleRateError("rate does not load")
+
+        monkeypatch.setattr(harness_mod, "run_link", not_loading)
+        wdm = replace(sc, link=replace(sc.link, active_channels=(0, 1, 2)))
+        assert evaluate_point(wdm, seed=0, channels=[0, 2]) == {0: 1.0, 2: 1.0}
+
+    def test_sync_lost_is_ber_one(self, monkeypatch):
+        def lost(sc, seed, channels=None):
+            raise SyncNotFoundError("no plateau")
+
+        monkeypatch.setattr(harness_mod, "run_link", lost)
+        assert evaluate_point(_fast_loopback(), seed=0) == {1: 1.0}
+
+    def test_operating_point_returns_run_link_bers(self, monkeypatch):
+        calls = []
+
+        def counted(sc, seed, channels=None):
+            calls.append((sc, seed, channels))
+            reports = {0: SimpleNamespace(ber=2e-3), 1: SimpleNamespace(ber=5e-4)}
+            return SimpleNamespace(reports=reports)
+
+        monkeypatch.setattr(harness_mod, "run_link", counted)
+        sc = _fast_optical()
+        assert evaluate_point(sc, seed=7) == {1: 5e-4}
+        assert evaluate_point(sc, seed=7, channels=[0, 1]) == {0: 2e-3, 1: 5e-4}
+        assert calls == [(sc, 7, None), (sc, 7, [0, 1])]
+
+
 class TestRequiredOsnr:
     def test_trivial_target_returns_lower_bracket(self):
         """A target of 0.5 is met at the bottom of the bracket."""
@@ -174,6 +215,30 @@ class TestSweepDetuning:
     def test_argmin_axis(self):
         sweep = SweepResult(axis=np.array([0.0, 1.0, 2.0]), ber=np.array([0.3, 0.1, 0.2]))
         assert sweep.argmin_axis == 1.0
+
+
+class TestSweepReach:
+    def test_unreachable_targets_read_inf(self, monkeypatch):
+        """One row per detuning, one column per reach; a missed search reads inf."""
+        searched = []
+
+        def search(sc, target_ber, seed):
+            searched.append((sc.link.detuning, sc.link.span_lengths_km, target_ber, seed))
+            if sc.link.span_lengths_km:
+                raise InfeasibleOsnrError("target missed at the top of the bracket")
+            return 20.0 + sc.link.detuning / 1e9
+
+        monkeypatch.setattr(harness_mod, "required_osnr", search)
+        osnrs = sweep_reach(_fast_optical(), [0.0, 10.0], [0.0, 19e9], target_ber=1e-3, seed=4)
+        assert osnrs.shape == (2, 2)
+        assert osnrs[:, 0].tolist() == [20.0, 39.0]
+        assert np.all(np.isinf(osnrs[:, 1]))
+        assert searched == [
+            (0.0, (), 1e-3, 4),
+            (0.0, (10.0,), 1e-3, 4),
+            (19e9, (), 1e-3, 4),
+            (19e9, (10.0,), 1e-3, 4),
+        ]
 
 
 class TestTableTypes:

@@ -9,6 +9,7 @@ from dmtlink.core import (
     OpticalField,
     RealWaveform,
     SubcarrierPlan,
+    constellation,
     map_symbols,
 )
 from dmtlink.loading import GapConfig, SnrProfile, chow_load
@@ -298,6 +299,27 @@ class TestDdEqualize:
         frozen_errors = count_errors(demap_frame(frozen, plan), tx_bits, plan).bit_errors
         tracked_errors = count_errors(demap_frame(tracked, plan), tx_bits, plan).bit_errors
         assert tracked_errors < frozen_errors
+
+    def test_decisions_are_nearest_points_all_orders(self):
+        """Each tap update decides for the nearest point of its order, 1 to 8.
+
+        With unit taps and mu = 1 the returned taps are ``row / (decision *
+        sqrt(P))``, which exposes every decision against a brute-force search.
+        """
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 9, 400)
+        bits[:9] = np.arange(9)
+        powers = np.where(bits > 0, rng.uniform(0.5, 2.0, bits.size), 0.0)
+        powers *= np.count_nonzero(bits) / powers.sum()
+        plan = SubcarrierPlan(bits=bits, powers=powers)
+        scale = np.sqrt(plan.powers)
+        row = (rng.uniform(-1.5, 1.5, bits.size) + 1j * rng.uniform(-1.5, 1.5, bits.size)) * scale
+        _, state = dd_equalize(row[None, :], EqualizerState(np.ones(bits.size), step=1.0), plan)
+        for i in np.flatnonzero(bits):
+            table = constellation(int(bits[i]))
+            nearest = table[np.argmin(np.abs(row[i] / scale[i] - table))]
+            assert row[i] / (state.taps[i] * scale[i]) == pytest.approx(nearest, abs=1e-12)
+        assert np.all(state.taps[bits == 0] == 1.0)
 
     def test_input_state_not_mutated(self):
         plan = SubcarrierPlan.uniform(64, bits=2)
