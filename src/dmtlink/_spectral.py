@@ -1,4 +1,4 @@
-"""FFT-based band-limited resampling shared by dac, rx resample, and the mux.
+"""FFT-based band-limited resampling shared by dac, the rx front end and rx resample.
 
 The whole simulation treats each frame as one period of a periodic signal
 (channel filtering is circular), so Fourier resampling is exact for
@@ -26,10 +26,17 @@ def output_length(n_in: int, rate_in: float, rate_out: float) -> int:
 
 def resample_real(samples: np.ndarray, n_out: int) -> np.ndarray:
     """Resample a real periodic signal to n_out samples, amplitude-preserving."""
-    n_in = samples.size
-    if n_out == n_in:
+    if n_out == samples.size:
         return np.array(samples, copy=True)
-    spectrum = np.fft.rfft(samples)
+    return irfft_resized(np.fft.rfft(samples), samples.size, n_out)
+
+
+def irfft_resized(spectrum: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    """Real n_out-sample signal from the (possibly truncated) rfft of an n_in-sample one.
+
+    Bins above the new Nyquist frequency are dropped, missing ones are
+    zero, and the amplitude scale of the n_in-sample signal is kept.
+    """
     n_bins = min(spectrum.size, n_out // 2 + 1)
     out_spec = np.zeros(n_out // 2 + 1, dtype=np.complex128)
     out_spec[:n_bins] = spectrum[:n_bins]
@@ -37,18 +44,3 @@ def resample_real(samples: np.ndarray, n_out: int) -> np.ndarray:
         # the new Nyquist bin folds conjugate content; keep it real
         out_spec[-1] = out_spec[-1].real
     return np.fft.irfft(out_spec, n=n_out) * (n_out / n_in)
-
-
-def resample_complex(samples: np.ndarray, n_out: int) -> np.ndarray:
-    """Resample a complex periodic baseband signal to n_out samples."""
-    n_in = samples.size
-    if n_out == n_in:
-        return np.array(samples, copy=True)
-    spectrum = np.fft.fft(samples)
-    out_spec = np.zeros(n_out, dtype=np.complex128)
-    half_in = n_in // 2
-    half_out = n_out // 2
-    keep = min(half_in, half_out)
-    out_spec[: keep + 1] = spectrum[: keep + 1]
-    out_spec[-keep:] = spectrum[-keep:]
-    return np.fft.ifft(out_spec) * (n_out / n_in)

@@ -6,6 +6,10 @@ field's own zero frequency corresponds to, so filters and dispersion can be
 evaluated in absolute grid coordinates regardless of which hop of the chain
 produced the field.
 
+A link run uses ``optical_span``, one frequency-domain pass from modulator
+to receiver; the single-field stages below serve ``end_to_end_fading_profile``
+and the tests that pin each stage.
+
 Sign conventions, documented once here:
 
 * The Mach-Zehnder transfer is ``E = sin(pi * (v + bias) / (2 * vpi))``; the
@@ -38,9 +42,9 @@ __all__ = [
     "load_noise_to_osnr",
     "mzm",
     "optical_filter",
+    "optical_span",
     "photodiode",
     "rx_frontend",
-    "wdm_mux",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -80,12 +84,16 @@ class FilterSpec:
 
     def amplitude_response(self, freq: np.ndarray) -> np.ndarray:
         """Amplitude response at absolute grid frequencies ``freq``."""
-        rel = np.asarray(freq, dtype=np.float64) - self.center
+        # worked in place on one buffer: grids reach a million points
+        x = np.asarray(freq, dtype=np.float64) - self.center
         if self.fsr is not None:
-            rel = np.mod(rel + self.fsr / 2, self.fsr) - self.fsr / 2
-        x = rel / (self.fwhm_3db / 2.0)
-        power_db = -3.0 * x ** (2 * self.order)
-        return 10.0 ** (power_db / 20.0)
+            x -= self.fsr * np.rint(x / self.fsr)  # the period nearest the center
+        x /= self.fwhm_3db / 2.0
+        power_db = np.square(x, out=x)
+        power_db **= self.order
+        power_db *= -3.0
+        power_db /= 20.0
+        return np.power(10.0, power_db, out=power_db)
 
 
 @dataclass(frozen=True)
@@ -256,64 +264,56 @@ def mzm(
         centered on the laser (``center_offset`` 0; the mux assigns grid
         positions).
     """
+    field = _mzm_transfer(drive.samples, vpi, bias, drive_swing, bias_margin)
+    return OpticalField(field, drive.sample_rate)
+
+
+def _mzm_transfer(
+    samples: np.ndarray, vpi: float, bias: float | None, drive_swing: float, bias_margin: float
+) -> np.ndarray:
+    """The real field of ``mzm``, as a plain array."""
     if not 0 < drive_swing <= 1:
         raise ValueError("drive_swing must lie in (0, 1]")
-    peak = np.max(np.abs(drive.samples))
-    v = drive.samples * (drive_swing * vpi / peak) if peak > 0 else drive.samples
+    peak = np.max(np.abs(samples))
+    v = samples * (drive_swing * vpi / peak if peak > 0 else 1.0)
     if bias is None:
         bias = -np.min(v) + bias_margin * vpi
-    field = np.sin(np.pi * (v + bias) / (2.0 * vpi))
-    return OpticalField(field.astype(np.complex128), drive.sample_rate)
-
-
-def wdm_mux(
-    channels, offsets, grid_rate: float, occupied_bandwidth: float | None = None
-) -> OpticalField:
-    """Combine channel fields onto the composite grid.
-
-    Each field is resampled to ``grid_rate`` and mixed to its offset with
-    ``exp(+j * 2 * pi * offset * t)``; the sum is returned with
-    ``center_offset`` 0 (the grid center).
-
-    Parameters
-    ----------
-    channels : iterable of OpticalField
-        Per-channel envelopes, each centered on its own laser.
-    offsets : iterable of float
-        Absolute grid frequency of each laser, Hz.
-    grid_rate : float
-        Composite sample rate; every offset plus half the channel's own
-        bandwidth must stay below ``grid_rate / 2``.
-    occupied_bandwidth : float, optional
-        Two-sided spectral extent of each channel's content, used by the
-        aliasing guard.  Defaults to the field's own sample rate — the
-        right proxy for fields still at their native rate, but too wide
-        for fields pre-resampled to the grid rate.
-    """
-    composite = None
-    for field, offset in zip(channels, offsets):
-        half_band = (occupied_bandwidth or field.sample_rate) / 2
-        if abs(offset) + half_band > grid_rate / 2:
-            raise ValueError(
-                f"offset {offset:.3e} Hz would alias on a {grid_rate:.3e} S/s grid"
-            )
-        samples = field.samples
-        if field.sample_rate != grid_rate:
-            n_out = _spectral.output_length(samples.size, field.sample_rate, grid_rate)
-            samples = _spectral.resample_complex(samples, n_out)
-        if composite is None:
-            composite = np.zeros_like(samples)
-        elif samples.size != composite.size:
-            raise ValueError("all channels must span the same duration")
-        t = np.arange(samples.size) / grid_rate
-        composite += samples * np.exp(2j * np.pi * offset * t)
-    if composite is None:
-        raise ValueError("at least one channel required")
-    return OpticalField(composite, grid_rate, center_offset=0.0)
+    # sin(pi * (v + bias) / (2 * vpi)), worked in place
+    v += bias
+    v *= np.pi
+    v /= 2.0 * vpi
+    return np.sin(v, out=v)
 
 
 def _grid_frequencies(n: int, sample_rate: float) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / sample_rate)
+
+
+def _dispersion_phase(
+    freq: np.ndarray, length_km: float, dispersion_ps_nm_km: float, wavelength_nm: float
+) -> np.ndarray:
+    d_si = dispersion_ps_nm_km * 1e-6  # ps/(nm km) -> s/m^2
+    lam = wavelength_nm * 1e-9
+    return np.pi * d_si * (length_km * 1e3) * lam**2 * freq**2 / SPEED_OF_LIGHT
+
+
+def _osnr_noise(n: int, sample_rate: float, osnr_db: float, power: float, seed: int) -> np.ndarray:
+    """White circular noise putting a signal of ``power`` at ``osnr_db``."""
+    if power <= 0:
+        raise ValueError("cannot set a finite OSNR on a zero-power field")
+    psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
+    sigma = np.sqrt(psd * sample_rate / 2.0)
+    rng = np.random.default_rng(seed)
+    noise = np.empty(n, dtype=np.complex128)  # sigma * (re + 1j * im), built in place
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= sigma
+    return noise
+
+
+def _mean_power(spectrum: np.ndarray) -> float:
+    """Mean power of the signal whose DFT is ``spectrum`` (Parseval)."""
+    return float(np.vdot(spectrum, spectrum).real) / spectrum.size**2
 
 
 def optical_filter(field: OpticalField, spec: FilterSpec) -> OpticalField:
@@ -344,10 +344,8 @@ def fiber_cd(
         raise ValueError("length_km must be >= 0")
     if length_km == 0:
         return field
-    d_si = dispersion_ps_nm_km * 1e-6  # ps/(nm km) -> s/m^2
-    lam = wavelength_nm * 1e-9
     freq = _grid_frequencies(field.samples.size, field.sample_rate) + field.center_offset
-    phase = np.pi * d_si * (length_km * 1e3) * lam**2 * freq**2 / SPEED_OF_LIGHT
+    phase = _dispersion_phase(freq, length_km, dispersion_ps_nm_km, wavelength_nm)
     spectrum = np.fft.fft(field.samples) * np.exp(1j * phase)
     return OpticalField(np.fft.ifft(spectrum), field.sample_rate, field.center_offset)
 
@@ -374,14 +372,7 @@ def load_noise_to_osnr(
     if not np.isfinite(osnr_db):
         return field
     power = field.power() if reference_power is None else float(reference_power)
-    if power <= 0:
-        raise ValueError("cannot set a finite OSNR on a zero-power field")
-    psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
-    sigma = np.sqrt(psd * field.sample_rate / 2.0)
-    rng = np.random.default_rng(seed)
-    noise = sigma * (
-        rng.standard_normal(field.samples.size) + 1j * rng.standard_normal(field.samples.size)
-    )
+    noise = _osnr_noise(field.samples.size, field.sample_rate, osnr_db, power, seed)
     return OpticalField(field.samples + noise, field.sample_rate, field.center_offset)
 
 
@@ -402,19 +393,18 @@ def rx_frontend(
     response ``|H(f)| = 1/sqrt(1 + (f/bandwidth)^8)`` (the capture path is
     modeled as delay-free), resamples to ``out_rate``, and, when
     ``quantize_bits`` is set, quantizes uniformly over +/- 4 standard
-    deviations around the mean.
+    deviations around the mean.  Filter and rate change share one
+    ``rfft``/``irfft`` pair: only the bins the capture keeps are filtered.
     """
     if out_rate > w.sample_rate:
         raise ValueError("out_rate must not exceed the input rate")
-    spectrum = np.fft.rfft(w.samples)
-    freq = np.fft.rfftfreq(w.samples.size, d=1.0 / w.sample_rate)
+    n_in = w.samples.size
+    n_out = _spectral.output_length(n_in, w.sample_rate, out_rate)
+    kept = n_out // 2 + 1
+    spectrum = np.fft.rfft(w.samples)[:kept]
+    freq = np.fft.rfftfreq(n_in, d=1.0 / w.sample_rate)[:kept]
     spectrum /= np.sqrt(1.0 + (freq / bandwidth) ** 8)
-    filtered = np.fft.irfft(spectrum, n=w.samples.size)
-    if out_rate == w.sample_rate:
-        samples = filtered
-    else:
-        n_out = _spectral.output_length(filtered.size, w.sample_rate, out_rate)
-        samples = _spectral.resample_real(filtered, n_out)
+    samples = _spectral.irfft_resized(spectrum, n_in, n_out)
     if quantize_bits is not None and np.isfinite(quantize_bits):
         mean = samples.mean()
         sigma = samples.std()
@@ -427,6 +417,122 @@ def rx_frontend(
             )
             samples = codes * lsb + mean
     return RealWaveform(samples, out_rate)
+
+
+def _launch(
+    link: LinkConfig, channel: int, drive: RealWaveform, freq: np.ndarray, duration: float
+) -> tuple[np.ndarray, int]:
+    """One channel's modulated spectrum after its interleaver port.
+
+    Returns the full (two-sided) spectrum, centered on the channel's laser,
+    and the laser's position on the composite grid in whole bins.
+    """
+    n = drive.samples.size
+    spectrum = np.empty(n, dtype=np.complex128)
+    spectrum[: n // 2 + 1] = np.fft.rfft(
+        _mzm_transfer(drive.samples, link.vpi, None, link.drive_swing, link.mzm_bias_margin)
+    )
+    # the field is real, so its negative frequencies mirror the positive ones
+    spectrum[n // 2 + 1 :] = np.conj(spectrum[(n - 1) // 2 : 0 : -1])
+    shift = round((float(link.channel_centers[channel]) + link.detuning) * duration)
+    spectrum *= link.interleaver(channel).amplitude_response(freq + shift / duration)
+    return spectrum, shift
+
+
+def _mux_add(
+    composite: np.ndarray, spectrum: np.ndarray, shift: int, half_band_bins: float
+) -> None:
+    """Add one channel's spectrum to the composite, moved up by ``shift`` bins.
+
+    With the laser on the frame's frequency resolution, a whole-bin move is
+    the exact frequency translation of the circular frame.  Content
+    ``half_band_bins`` either side of the laser must stay below the grid's
+    Nyquist frequency, or it would wrap onto the far side of the comb.
+    """
+    if abs(shift) + half_band_bins > composite.size / 2:
+        raise ValueError(
+            f"a carrier {shift} bins off center with {half_band_bins:g} bins of "
+            f"half-band would alias on a {composite.size}-bin grid"
+        )
+    composite += np.roll(spectrum, shift)
+
+
+def optical_span(
+    link: LinkConfig,
+    drives: dict,
+    rx_channels,
+    noise_seed: int,
+    occupied_bandwidth: float,
+) -> dict:
+    """Carry one frame from the modulator drives to each receiver's capture.
+
+    Between the modulator and the photodiode, the only nonlinear steps, the
+    span is linear and diagonal in frequency over one circular frame.  So
+    each channel's field is transformed once, shaped by its interleaver
+    port and moved onto its laser by a whole-bin shift; the sum takes the
+    dispersion phase and the spectrum of the noise (drawn in the time
+    domain, as ``load_noise_to_osnr`` draws it); each receiver applies both
+    its ports in one product, transforms back once, detects and captures.
+
+    Parameters
+    ----------
+    link : LinkConfig
+        Geometry, filters, fiber, OSNR and receiver.  The OSNR refers to the
+        launch power of the channel under test, or to the whole comb when
+        that channel is dark.
+    drives : dict
+        Lit channel -> its DAC drive, one frame at ``link.grid_rate``.
+    rx_channels : iterable of int
+        Channels to detect.
+    noise_seed : int
+        Seed of the noise draw.
+    occupied_bandwidth : float
+        Two-sided extent of each channel's modulated content (the DAC
+        rate), used by the aliasing guard.
+
+    Returns
+    -------
+    dict
+        Receive channel -> front-end capture at ``link.rx_sample_rate``.
+    """
+    rate = link.grid_rate
+    n = next(iter(drives.values())).samples.size
+    if any(d.sample_rate != rate or d.samples.size != n for d in drives.values()):
+        raise ValueError("every drive must be one frame of equal length at the grid rate")
+    duration = n / rate
+    freq = _grid_frequencies(n, rate)
+    composite = np.zeros(n, dtype=np.complex128)
+    cut_power = None
+    for ch, drive in drives.items():
+        spectrum, shift = _launch(link, ch, drive, freq, duration)
+        if ch == link.cut_index:
+            cut_power = _mean_power(spectrum)
+        _mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
+        del spectrum  # one launched spectrum alive at a time
+    if link.total_length_km > 0:
+        composite *= np.exp(
+            1j
+            * _dispersion_phase(
+                freq, link.total_length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm
+            )
+        )
+    if np.isfinite(link.osnr_db):
+        power = _mean_power(composite) if cut_power is None else cut_power
+        composite += np.fft.fft(_osnr_noise(n, rate, link.osnr_db, power, noise_seed))
+
+    return {ch: _receive(link, ch, composite, freq) for ch in rx_channels}
+
+
+def _receive(
+    link: LinkConfig, channel: int, composite: np.ndarray, freq: np.ndarray
+) -> RealWaveform:
+    """One receiver: both its ports in one product, one inverse FFT, detection, capture."""
+    response = link.interleaver(channel).amplitude_response(freq)
+    response *= link.demux(channel).amplitude_response(freq)
+    field = OpticalField(np.fft.ifft(composite * response), link.grid_rate)
+    return rx_frontend(
+        photodiode(field), link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
+    )
 
 
 def end_to_end_fading_profile(

@@ -14,9 +14,12 @@ periodic steady state of the chain.  All channel operations here are
 implemented as circular (FFT) operators over exactly one frame period, which
 *is* that steady state, provided every carrier completes an integer number
 of cycles per period; carrier offsets are therefore snapped to the frame's
-spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The receiver
-then synchronizes on a cyclically tiled copy of the one-period capture and
-reduces the found start into the first period.
+spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The WDM mux is
+then an exact whole-bin shift of each channel's spectrum, not a mixer, and
+the optical span from modulator to photodiode runs on one composite spectrum
+(``channel.optical_span``).  The receiver then synchronizes on a cyclically
+tiled copy of the one-period capture and reduces the found start into the
+first period.
 
 Neighborhood equivalence
 ------------------------
@@ -44,22 +47,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (
-    LinkConfig,
-    SPEED_OF_LIGHT,
-    fiber_cd,
-    load_noise_to_osnr,
-    mzm,
-    optical_filter,
-    photodiode,
-    rx_frontend,
-    wdm_mux,
-)
+from .channel import LinkConfig, SPEED_OF_LIGHT, optical_span
 from .core import (
     BerReport,
     DmtConfig,
     InfeasibleRateError,
-    OpticalField,
     RealWaveform,
     SubcarrierPlan,
     frame_geometry,
@@ -314,9 +306,7 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
     Returns ``{channel: _ChannelCapture}``.
     """
     link, dmt = sc.link, sc.dmt
-    geom = frame_geometry(dmt)
     lit = link.lit_channels
-    cut = link.cut_index
 
     frames = {}
     for ch in lit:
@@ -333,57 +323,21 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
             captures[ch] = _receive_capture(wave, sc, frame, payload, ts_seed)
         return captures
 
-    # Carriers snapped to the frame resolution make the circular chain the
-    # exact steady state of the looping transmitter.
-    duration = geom.frame_duration
-    centers = link.channel_centers
-    fields, offsets = [], []
-    cut_power = None
+    drives = {}
     for ch in lit:
-        payload, frame, ts_seed = frames[ch]
-        wave = clip(frame.waveform, dmt.clipping_ratio_db)
-        drive = dac(wave, link.grid_rate)
-        field_ch = mzm(
-            drive,
-            vpi=link.vpi,
-            drive_swing=link.drive_swing,
-            bias_margin=link.mzm_bias_margin,
-        )
-        laser = round((float(centers[ch]) + link.detuning) * duration) / duration
-        field_ch = OpticalField(field_ch.samples, field_ch.sample_rate, center_offset=laser)
-        field_ch = optical_filter(field_ch, link.interleaver(ch))
-        if ch == cut:
-            cut_power = field_ch.power()
-        fields.append(field_ch)
-        offsets.append(laser)
-
+        _payload, frame, _ts_seed = frames[ch]
+        drives[ch] = dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
     # The modulated content spans the DAC Nyquist band around each laser
     # (the drive was upsampled before the modulator, so there is headroom
     # for its weak harmonics but the occupied band is still the DAC's).
-    composite = wdm_mux(fields, offsets, link.grid_rate, occupied_bandwidth=dmt.dac_rate)
-    composite = fiber_cd(
-        composite,
-        link.total_length_km,
-        link.dispersion_ps_nm_km,
-        link.center_wavelength_nm,
-    )
-    composite = load_noise_to_osnr(
-        composite,
-        link.osnr_db,
-        seed=_seed_int(seed, stage, 303),
-        reference_power=cut_power,
+    rx = optical_span(
+        link, drives, rx_channels, _seed_int(seed, stage, 303), occupied_bandwidth=dmt.dac_rate
     )
 
     captures = {}
     for ch in rx_channels:
         payload, frame, ts_seed = frames[ch]
-        field_rx = optical_filter(composite, link.interleaver(ch))
-        field_rx = optical_filter(field_rx, link.demux(ch))
-        current = photodiode(field_rx)
-        capture = rx_frontend(
-            current, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
-        )
-        wave = resample(sqrt_linearize(capture), dmt.dac_rate)
+        wave = resample(sqrt_linearize(rx[ch]), dmt.dac_rate)
         captures[ch] = _receive_capture(wave, sc, frame, payload, ts_seed)
     return captures
 

@@ -1,4 +1,4 @@
-"""Transmit DSP: training symbols, loaded DMT modulation, clipping, shifts.
+"""Transmit DSP: training symbols, loaded DMT modulation, clipping, DAC.
 
 The frame layout is 5 training symbols followed by 119 data symbols, every
 symbol carrying a 32-sample cyclic prefix.  TS1 loads only even FFT bins so
@@ -29,7 +29,6 @@ __all__ = [
     "symbols_to_waveform",
     "modulate_frame",
     "clip",
-    "decorrelate_shift",
     "dac",
 ]
 
@@ -159,13 +158,6 @@ def clip(w: RealWaveform, clipping_ratio_db: float) -> RealWaveform:
         return w
     amplitude = w.rms() * 10 ** (clipping_ratio_db / 20)
     return RealWaveform(np.clip(w.samples, -amplitude, amplitude), w.sample_rate)
-
-
-def decorrelate_shift(w: RealWaveform, shift: int) -> RealWaveform:
-    """Cyclic rotation by `shift` samples (energy-preserving)."""
-    if not 0 <= shift <= w.samples.size:
-        raise ValueError("shift must lie in [0, length]")
-    return RealWaveform(np.roll(w.samples, shift), w.sample_rate)
 
 
 def dac(w: RealWaveform, grid_rate: float) -> RealWaveform:

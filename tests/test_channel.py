@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
+from dmtlink import _spectral
 from dmtlink.channel import (
     FilterSpec,
     LinkConfig,
     SPEED_OF_LIGHT,
+    _grid_frequencies,
+    _launch,
+    _mean_power,
+    _mux_add,
     end_to_end_fading_profile,
     fiber_cd,
     load_noise_to_osnr,
     mzm,
     optical_filter,
+    optical_span,
     photodiode,
     rx_frontend,
-    wdm_mux,
 )
 from dmtlink.core import OpticalField, RealWaveform
 
@@ -65,45 +70,65 @@ class TestMzm:
 
 
 class TestWdmMux:
+    """The whole-bin mux of ``optical_span``, on a 256 GS/s grid of 8192 bins."""
+
+    N, RATE = 8192, 256e9
+
+    def _spectrum(self, freq, amplitude=1.0):
+        return np.fft.fft(_tone_field(freq, n=self.N, rate=self.RATE, amplitude=amplitude).samples)
+
+    def _bins(self, offset):
+        return round(offset * self.N / self.RATE)
+
+    def _mux(self, spectra, offsets, half_band=0.0):
+        composite = np.zeros(self.N, dtype=complex)
+        for spectrum, offset in zip(spectra, offsets):
+            _mux_add(composite, spectrum, self._bins(offset), half_band * self.N / self.RATE)
+        return composite
+
     def test_offset_displaces_spectrum_peak(self):
-        field = _tone_field(0.0)
-        out = wdm_mux([field], [25e9], grid_rate=256e9)
-        spectrum = np.abs(np.fft.fft(out.samples))
-        expected_bin = round(25e9 * out.samples.size / 256e9)
-        assert np.argmax(spectrum) == expected_bin
+        for offset in (25e9, -25e9):
+            out = self._mux([self._spectrum(0.0)], [offset])
+            assert np.argmax(np.abs(out)) == self._bins(offset) % self.N
+
+    def test_matches_exact_phase_mixing(self):
+        """A k-bin move is mixing with exp(2j*pi*((k*n) mod N)/N)."""
+        rng = np.random.default_rng(8)
+        field = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        k = self._bins(-62.5e9)
+        mixer = np.exp(2j * np.pi * ((k * np.arange(self.N)) % self.N) / self.N)
+        moved = np.fft.ifft(self._mux([np.fft.fft(field)], [-62.5e9]))
+        assert np.max(np.abs(moved - field * mixer)) <= 1e-12 * np.max(np.abs(field))
 
     def test_coherent_duplicate_quadruples_power(self):
-        field = _tone_field(1e9)
-        solo = wdm_mux([field], [0.0], grid_rate=256e9)
-        dup = wdm_mux([field, field], [0.0, 0.0], grid_rate=256e9)
-        assert dup.power() == pytest.approx(4 * solo.power(), rel=1e-9)
+        spectrum = self._spectrum(1e9)
+        solo = self._mux([spectrum], [0.0])
+        dup = self._mux([spectrum, spectrum], [0.0, 0.0])
+        assert _mean_power(dup) == pytest.approx(4 * _mean_power(solo), rel=1e-9)
 
     def test_disjoint_channels_add_energy(self):
-        """Independent channels at +/-25 GHz: powers add within 1%."""
+        """Independent 10 GHz channels at +/-25 GHz: powers add."""
         rng = np.random.default_rng(3)
-        fields = []
-        n, rate = 8192, 64e9
+        spectra = []
+        width = int(10e9 / (self.RATE / self.N))
         for _ in range(2):
-            spectrum = np.zeros(n, dtype=complex)
-            bins = slice(1, int(10e9 / (rate / n)))  # 10 GHz of random content
-            width = bins.stop - 1
-            spectrum[bins] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-            fields.append(OpticalField(np.fft.ifft(spectrum), rate))
-        out = wdm_mux(fields, [-25e9, 25e9], grid_rate=256e9)
-        total = sum(f.power() for f in fields)
-        assert out.power() == pytest.approx(total, rel=0.01)
+            spectrum = np.zeros(self.N, dtype=complex)
+            spectrum[1 : width + 1] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            spectra.append(spectrum)
+        out = self._mux(spectra, [-25e9, 25e9], half_band=10e9)
+        total = sum(_mean_power(s) for s in spectra)
+        assert _mean_power(out) == pytest.approx(total, rel=1e-12)
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError):
-            wdm_mux([_tone_field(0.0)], [120e9], grid_rate=256e9)
+            self._mux([self._spectrum(0.0)], [120e9], half_band=32e9)
 
     def test_linear_in_fields(self):
-        a = _tone_field(2e9)
-        b = _tone_field(5e9, amplitude=0.5)
-        left = wdm_mux([a, b], [25e9, -25e9], grid_rate=256e9)
-        right_a = wdm_mux([a], [25e9], grid_rate=256e9)
-        right_b = wdm_mux([b], [-25e9], grid_rate=256e9)
-        assert np.allclose(left.samples, right_a.samples + right_b.samples, atol=1e-12)
+        a = self._spectrum(2e9)
+        b = self._spectrum(5e9, amplitude=0.5)
+        left = self._mux([a, b], [25e9, -25e9])
+        right = self._mux([a], [25e9]) + self._mux([b], [-25e9])
+        assert np.allclose(left, right, atol=1e-12)
 
 
 class TestOpticalFilter:
@@ -213,6 +238,17 @@ class TestNoiseLoading:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
+    def test_draw_is_sigma_times_two_normal_streams(self):
+        """The noise is exactly sigma * (re + 1j * im) of one generator's two draws."""
+        n, rate = 4096, 64e9
+        out = load_noise_to_osnr(
+            OpticalField(np.zeros(n, dtype=complex), rate), 20.0, seed=9, reference_power=1.0
+        )
+        sigma = np.sqrt(1.0 / (100.0 * 12.5e9) * rate / 2.0)
+        rng = np.random.default_rng(9)
+        expected = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert np.array_equal(out.samples, expected)
+
     def test_zero_power_rejected(self):
         field = OpticalField(np.zeros(128, dtype=complex), 64e9)
         with pytest.raises(ValueError):
@@ -301,10 +337,68 @@ class TestRxFrontend:
         inliers = np.abs(ref.samples - ref.samples.mean()) < 3.9 * ref.samples.std()
         assert np.max(np.abs(out.samples[inliers] - ref.samples[inliers])) <= lsb
 
+    def test_fused_equals_filter_then_resample(self):
+        """One rfft/irfft pair equals filtering at 256 GS/s, then resample_real to 80."""
+        rng = np.random.default_rng(6)
+        w = RealWaveform(rng.standard_normal(65536), 256e9)
+        fused = rx_frontend(w, bandwidth=29.4e9, out_rate=80e9)
+        full = rx_frontend(w, bandwidth=29.4e9, out_rate=256e9)
+        ref = _spectral.resample_real(full.samples, 65536 * 80 // 256)
+        assert np.max(np.abs(fused.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_upsampling_rejected(self):
         w = self._tone(5e9, n=4096, rate=80e9)
         with pytest.raises(ValueError):
             rx_frontend(w, bandwidth=29.4e9, out_rate=160e9)
+
+
+class TestOpticalSpan:
+    LINK = LinkConfig(
+        n_channels=4, active_channels=(0, 1, 2), channel_under_test=1, span_lengths_km=()
+    )
+    N = 2048  # one 8 ns frame on the 256 GS/s grid
+
+    def _drives(self, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            ch: RealWaveform(
+                _spectral.resample_real(rng.standard_normal(self.N // 4), self.N),
+                self.LINK.grid_rate,
+            )
+            for ch in self.LINK.lit_channels
+        }
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_launch_power_by_parseval(self, channel):
+        """The launch power taken from the spectrum equals the time-domain power()."""
+        link, rate = self.LINK, self.LINK.grid_rate
+        drive = self._drives(4)[channel]
+        duration = self.N / rate
+        spectrum, shift = _launch(link, channel, drive, _grid_frequencies(self.N, rate), duration)
+        field = mzm(
+            drive, vpi=link.vpi, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin
+        )
+        field = OpticalField(field.samples, rate, center_offset=shift / duration)
+        expected = optical_filter(field, link.interleaver(channel)).power()
+        assert _mean_power(spectrum) == pytest.approx(expected, rel=1e-12)
+
+    def test_captures_at_receiver_rate(self):
+        captures = optical_span(self.LINK, self._drives(2), [0, 2], 5, occupied_bandwidth=64e9)
+        assert sorted(captures) == [0, 2]
+        for capture in captures.values():
+            assert capture.sample_rate == self.LINK.rx_sample_rate
+            assert capture.samples.size == self.N * 80 // 256
+
+    def test_aliasing_carrier_rejected(self):
+        """Channel 0's laser, 448 bins low, cannot carry 640 bins of half-band."""
+        with pytest.raises(ValueError, match="alias"):
+            optical_span(self.LINK, self._drives(1), [1], 0, occupied_bandwidth=160e9)
+
+    def test_drive_off_grid_rate_rejected(self):
+        drives = self._drives(3)
+        drives[2] = RealWaveform(drives[2].samples, 128e9)
+        with pytest.raises(ValueError):
+            optical_span(self.LINK, drives, [1], 0, occupied_bandwidth=64e9)
 
 
 class TestFadingProfile:

@@ -9,7 +9,7 @@ import pytest
 
 import dmtlink.harness as harness_mod
 from dmtlink.channel import LinkConfig
-from dmtlink.core import InfeasibleRateError
+from dmtlink.core import InfeasibleRateError, SubcarrierPlan
 from dmtlink.harness import (
     InfeasibleOsnrError,
     RATES_448G,
@@ -136,6 +136,40 @@ class TestRunLink:
         with pytest.raises(Exception) as excinfo:
             run_link(sc, seed=0)
         assert scenario_hash(sc) in str(excinfo.value)
+
+
+class TestTransmitOnceTransforms:
+    GRID_POINTS = 1_031_680  # one frame on the 256 GS/s composite grid
+
+    def test_payload_frame_transform_budget(self, monkeypatch):
+        """One 3-lit payload frame: at most 9 grid-sized transforms, 22 in all.
+
+        Counts are exact and repeatable, so this guards the frequency-domain
+        span without timing anything (the time-domain chain made 18 and 31).
+        """
+        lengths = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                out = _original(a, *args, **kwargs)
+                axis = kwargs.get("axis", -1)
+                lengths.append(max(np.shape(a)[axis], out.shape[axis]))
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        link = LinkConfig(
+            n_channels=4,
+            active_channels=(0, 1, 2),
+            channel_under_test=1,
+            span_lengths_km=(240.0,),
+            osnr_db=38.0,
+        )
+        sc = ScenarioConfig(link=link, net_rate=56e9)
+        plan = SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2)
+        harness_mod._transmit_once(sc, {ch: plan for ch in link.lit_channels}, 1, 4, [1])
+        assert sum(n >= self.GRID_POINTS for n in lengths) <= 9
+        assert len(lengths) <= 22
 
 
 class TestEvaluatePoint:

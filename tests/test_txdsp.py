@@ -9,7 +9,6 @@ from dmtlink.txdsp import (
     build_training_symbols,
     clip,
     dac,
-    decorrelate_shift,
     modulate_frame,
     symbols_to_waveform,
 )
@@ -120,27 +119,6 @@ class TestClip:
         fraction = np.mean(np.abs(clipped.samples) >= a * (1 - 1e-12))
         expected = 2 * norm.sf(10 ** (9 / 20))
         assert abs(fraction - expected) < 0.2 * expected
-
-
-class TestDecorrelateShift:
-    def test_zero_and_full_rotation_identity(self):
-        w = RealWaveform(np.arange(16.0), 64e9)
-        assert np.array_equal(decorrelate_shift(w, 0).samples, w.samples)
-        assert np.array_equal(decorrelate_shift(w, 16).samples, w.samples)
-
-    def test_spectrum_magnitude_invariant(self):
-        rng = np.random.default_rng(2)
-        w = RealWaveform(rng.standard_normal(4096), 64e9)
-        shifted = decorrelate_shift(w, 1234)
-        mag0 = np.abs(np.fft.rfft(w.samples))
-        mag1 = np.abs(np.fft.rfft(shifted.samples))
-        assert np.allclose(mag0, mag1, rtol=1e-9, atol=1e-9 * mag0.max())
-
-    def test_samples_are_permuted_not_altered(self):
-        w = RealWaveform(np.random.default_rng(3).standard_normal(1000), 64e9)
-        shifted = decorrelate_shift(w, 77)
-        assert np.array_equal(np.sort(shifted.samples), np.sort(w.samples))
-        assert shifted.samples[77] == w.samples[0]
 
 
 class TestDac:
