@@ -35,12 +35,16 @@ def irfft_resized(spectrum: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
     """Real n_out-sample signal from the (possibly truncated) rfft of an n_in-sample one.
 
     Bins above the new Nyquist frequency are dropped, missing ones are
-    zero, and the amplitude scale of the n_in-sample signal is kept.
+    zero, and the amplitude scale of the n_in-sample signal is kept.  The
+    Nyquist bin of the shorter length, when it is even, stands for both
+    ``+f`` and ``-f`` there: it is halved when it becomes an ordinary bin
+    of the longer signal and doubled when it becomes the new Nyquist bin,
+    as ``scipy.signal.resample`` does.
     """
     n_bins = min(spectrum.size, n_out // 2 + 1)
     out_spec = np.zeros(n_out // 2 + 1, dtype=np.complex128)
     out_spec[:n_bins] = spectrum[:n_bins]
-    if n_out < n_in and n_out % 2 == 0:
-        # the new Nyquist bin folds conjugate content; keep it real
-        out_spec[-1] = out_spec[-1].real
+    shorter = min(n_in, n_out)
+    if shorter % 2 == 0 and n_in != n_out:
+        out_spec[shorter // 2] *= 2.0 if n_out < n_in else 0.5
     return np.fft.irfft(out_spec, n=n_out) * (n_out / n_in)

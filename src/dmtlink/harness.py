@@ -17,9 +17,10 @@ of cycles per period; carrier offsets are therefore snapped to the frame's
 spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The WDM mux is
 then an exact whole-bin shift of each channel's spectrum, not a mixer, and
 the optical span from modulator to photodiode runs on one composite spectrum
-(``channel.optical_span``).  The receiver then synchronizes on a cyclically
-tiled copy of the one-period capture and reduces the found start into the
-first period.
+(``channel.optical_span``).  The receiver synchronizes on the one-period
+capture itself, reading it circularly (a timing window that runs past the
+end continues at the start, as it does in the looped signal), and
+demodulates the period rolled to the found start.
 
 Neighborhood equivalence
 ------------------------
@@ -60,7 +61,6 @@ from .core import (
 from .loading import GapConfig, SnrProfile, chow_load, estimate_snr
 from .rxdsp import (
     SyncNotFoundError,
-    SyncResult,
     channel_estimate,
     count_errors,
     dd_equalize,
@@ -70,7 +70,7 @@ from .rxdsp import (
     schmidl_cox_sync,
     sqrt_linearize,
 )
-from .txdsp import build_training_symbols, clip, dac, modulate_frame
+from .txdsp import clip, dac, modulate_frame
 
 __all__ = [
     "InfeasibleOsnrError",
@@ -288,89 +288,59 @@ def _with_context(exc, context: str):
     return type(exc)(f"{context}: {exc.args[0] if exc.args else exc}")
 
 
-@dataclass(frozen=True)
-class _ChannelCapture:
-    """Per-channel outcome of one transmitted frame."""
-
-    demod: object
-    tx_symbols: np.ndarray
-    payload: np.ndarray
-    ts_seed: int
-
-
 def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
     """Run one frame through the chain and demodulate ``rx_channels``.
 
     ``plans`` maps every lit channel to its SubcarrierPlan; ``stage``
     separates the seed streams of the probe pass and each payload frame.
-    Returns ``{channel: _ChannelCapture}``.
+    Returns ``{channel: (tx_symbols, tx_bits, demodulated)}``: the frame's
+    transmitted subcarrier values (training rows first), its payload bits,
+    and the received ``DemodulatedFrame``.
     """
     link, dmt = sc.link, sc.dmt
-    lit = link.lit_channels
 
     frames = {}
-    for ch in lit:
+    for ch in link.lit_channels:
         payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
         payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
-        ts_seed = _seed_int(seed, 202, ch)  # training symbols fixed across stages
-        frames[ch] = (payload, modulate_frame(payload, plans[ch], dmt, seed=ts_seed), ts_seed)
+        # training symbols are fixed across stages
+        frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
 
     if sc.loopback:
-        captures = {}
-        for ch in rx_channels:
-            payload, frame, ts_seed = frames[ch]
-            wave = clip(frame.waveform, dmt.clipping_ratio_db)
-            captures[ch] = _receive_capture(wave, sc, frame, payload, ts_seed)
-        return captures
-
-    drives = {}
-    for ch in lit:
-        _payload, frame, _ts_seed = frames[ch]
-        drives[ch] = dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
-    # The modulated content spans the DAC Nyquist band around each laser
-    # (the drive was upsampled before the modulator, so there is headroom
-    # for its weak harmonics but the occupied band is still the DAC's).
-    rx = optical_span(
-        link, drives, rx_channels, _seed_int(seed, stage, 303), occupied_bandwidth=dmt.dac_rate
-    )
-
-    captures = {}
-    for ch in rx_channels:
-        payload, frame, ts_seed = frames[ch]
-        wave = resample(sqrt_linearize(rx[ch]), dmt.dac_rate)
-        captures[ch] = _receive_capture(wave, sc, frame, payload, ts_seed)
-    return captures
-
-
-def _receive_capture(wave: RealWaveform, sc: ScenarioConfig, frame, payload, ts_seed):
-    """Synchronize and demodulate one one-period capture.
-
-    The capture is one period of the steady-state photocurrent; tiling it
-    cyclically gives the synchronizer the same continuous stream the real
-    receiver slices, and the found start folds back into the first period.
-    """
-    dmt = sc.dmt
-    geom = frame_geometry(dmt)
-    n = wave.samples.size
-    if n != geom.samples_per_frame:
-        raise ValueError(
-            f"capture holds {n} samples, expected one frame of {geom.samples_per_frame}"
+        captures = {ch: clip(frames[ch].waveform, dmt.clipping_ratio_db) for ch in rx_channels}
+    else:
+        drives = {
+            ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
+            for ch, frame in frames.items()
+        }
+        # The modulated content spans the DAC Nyquist band around each laser
+        # (the drive was upsampled before the modulator, so there is headroom
+        # for its weak harmonics but the occupied band is still the DAC's).
+        rx = optical_span(
+            link, drives, rx_channels, _seed_int(seed, stage, 303), occupied_bandwidth=dmt.dac_rate
         )
-    stream = np.concatenate(
-        [wave.samples, wave.samples, wave.samples[: 2 * geom.samples_per_symbol]]
-    )
-    tiled = RealWaveform(stream, wave.sample_rate)
-    found = schmidl_cox_sync(tiled, dmt)
-    start = found.start_index % n
-    demod = demodulate(
-        tiled, SyncResult(start, found.metric_peak, found.plateau_width), dmt
-    )
-    return _ChannelCapture(
-        demod=demod,
-        tx_symbols=frame.frequency_symbols,
-        payload=payload,
-        ts_seed=ts_seed,
-    )
+        captures = {ch: resample(sqrt_linearize(rx.pop(ch)), dmt.dac_rate) for ch in rx_channels}
+
+    received = {}
+    for ch in rx_channels:
+        demod = _receive_capture(captures.pop(ch), dmt)
+        received[ch] = (frames[ch].frequency_symbols, frames[ch].tx_bits, demod)
+    return received
+
+
+def _receive_capture(wave: RealWaveform, dmt: DmtConfig):
+    """Synchronize on one one-period capture and demodulate it.
+
+    The capture is one period of the steady-state receive signal, so the
+    synchronizer reads it circularly, and the frame is demodulated from the
+    period rolled to the found start.
+    """
+    n = frame_geometry(dmt).samples_per_frame
+    if wave.samples.size != n:
+        raise ValueError(f"capture holds {wave.samples.size} samples, expected one frame of {n}")
+    found = schmidl_cox_sync(wave, dmt)
+    rolled = RealWaveform(np.roll(wave.samples, -found.start_index), wave.sample_rate)
+    return demodulate(rolled, replace(found, start_index=0), dmt)
 
 
 def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
@@ -417,9 +387,8 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
 
     snr, plans = {}, {}
     for ch in lit:
-        cap = probe[ch]
-        rx_rows = np.vstack([cap.demod.training, cap.demod.data])
-        snr[ch] = estimate_snr(rx_rows, cap.tx_symbols, dmt)
+        tx_symbols, _tx_bits, demod = probe[ch]
+        snr[ch] = estimate_snr(np.vstack([demod.training, demod.data]), tx_symbols, dmt)
         try:
             plans[ch] = chow_load(
                 snr[ch], sc.b_target, sc.gap, max_bits=dmt.max_bits_per_subcarrier
@@ -435,12 +404,12 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
         except SyncNotFoundError as exc:
             raise _with_context(exc, f"{context} frame {frame_idx}") from exc
         for ch in eval_channels:
-            cap = captures[ch]
-            known_ts = build_training_symbols(dmt, seed=cap.ts_seed)
-            state = channel_estimate(cap.demod.training[1:], known_ts[1:])
-            equalized, _ = dd_equalize(cap.demod.data, state, plans[ch])
+            tx_symbols, tx_bits, demod = captures[ch]
+            known_ts = tx_symbols[: dmt.n_training_symbols]
+            state = channel_estimate(demod.training[1:], known_ts[1:])
+            equalized, _ = dd_equalize(demod.data, state, plans[ch])
             bits = demap_frame(equalized, plans[ch])
-            report = count_errors(bits, cap.payload, plans[ch])
+            report = count_errors(bits, tx_bits, plans[ch])
             reports[ch] = report if reports[ch] is None else reports[ch].merged(report)
         if all(r.bit_errors >= sc.min_errors for r in reports.values()):
             break

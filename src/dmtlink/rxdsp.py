@@ -149,6 +149,11 @@ def schmidl_cox_sync(w: RealWaveform, cfg: DmtConfig) -> SyncResult:
     of the peak and contains it (the metric is flat across the cyclic
     prefix, so the peak alone is ill-defined).
 
+    The capture is read as one period of a periodic signal, as the
+    steady-state receive signal of a looped frame is: every window
+    continues past the capture's end into its start, the plateau may wrap
+    across either end, and the start comes back modulo the capture length.
+
     The capture's mean is removed before the metric is formed: direct
     detection leaves a large DC term that would otherwise correlate at any
     lag and saturate the metric everywhere.
@@ -159,16 +164,17 @@ def schmidl_cox_sync(w: RealWaveform, cfg: DmtConfig) -> SyncResult:
         If the peak metric stays below 0.1 (no frame present).
     """
     half = cfg.fft_size // 2
-    x = w.samples - np.mean(w.samples)
-    if x.size < 2 * half + 1:
+    n = w.samples.size
+    if n < 2 * half + 1:
         raise ValueError("capture shorter than one training symbol")
+    x = w.samples - np.mean(w.samples)
+    x = np.concatenate([x, x[: 2 * half - 1]])  # windows near the end wrap to the start
 
-    valid = x.size - 2 * half + 1
     prod = x[:-half] * x[half:]
     sq = x * x
-    p = _sliding_sum(prod, half)[:valid]
-    e1 = _sliding_sum(sq, half)[:valid]
-    e2 = _sliding_sum(sq[half:], half)[:valid]
+    p = _sliding_sum(prod, half)
+    e1 = _sliding_sum(sq, half)[:n]
+    e2 = _sliding_sum(sq[half:], half)
     energy = np.maximum(e1, e2) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = np.where(energy > 0, p * p / np.maximum(energy, 1e-300), 0.0)
@@ -180,14 +186,13 @@ def schmidl_cox_sync(w: RealWaveform, cfg: DmtConfig) -> SyncResult:
         )
     top = int(np.argmax(metric))
     above = metric >= 0.9 * peak
-    left = top
-    while left > 0 and above[left - 1]:
+    left = right = top
+    while right - left < n - 1 and above[(left - 1) % n]:
         left -= 1
-    right = top
-    while right < above.size - 1 and above[right + 1]:
+    while right - left < n - 1 and above[(right + 1) % n]:
         right += 1
     return SyncResult(
-        start_index=(left + right) // 2,
+        start_index=((left + right) // 2) % n,
         metric_peak=peak,
         plateau_width=right - left + 1,
     )

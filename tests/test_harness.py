@@ -9,7 +9,7 @@ import pytest
 
 import dmtlink.harness as harness_mod
 from dmtlink.channel import LinkConfig
-from dmtlink.core import InfeasibleRateError, SubcarrierPlan
+from dmtlink.core import InfeasibleRateError, SubcarrierPlan, frame_geometry
 from dmtlink.harness import (
     InfeasibleOsnrError,
     RATES_448G,
@@ -18,16 +18,18 @@ from dmtlink.harness import (
     TABLE_SCENARIOS,
     TableRow,
     _neighborhood_scenario,
+    _seed_int,
     analytic_fading,
     evaluate_point,
     persist_run,
+    rate_reach_table,
     required_osnr,
     run_link,
     scenario_hash,
     sweep_detuning,
     sweep_reach,
 )
-from dmtlink.rxdsp import SyncNotFoundError
+from dmtlink.rxdsp import SyncNotFoundError, schmidl_cox_sync
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -340,3 +342,60 @@ class TestPersistRun:
         assert written["ber"].read_text().splitlines()[0] == "channel,bit_errors,bits_total,ber"
         assert written["snr_ch1"].read_text().splitlines()[0] == "subcarrier,snr_db"
         assert written["loading_ch1"].read_text().splitlines()[0] == "subcarrier,bits,power"
+
+
+class TestOnePeriodReceive:
+    def test_loopback_112g_seed_2_error_free(self):
+        """5,000,000 loopback bits at 112 Gb/s count no error (a tiled
+        stream that cut the timing plateau at its start counted 85)."""
+        sc = ScenarioConfig.single_channel(net_rate=112e9, loopback=True, min_bits=5_000_000)
+        report = run_link(sc, seed=2).reports[1]
+        assert report.bits_total >= 5_000_000
+        assert report.bit_errors == 0
+
+    @pytest.mark.parametrize("loopback", [True, False])
+    def test_sync_sees_exactly_one_period(self, monkeypatch, loopback):
+        """The synchronizer gets each received channel's one-period capture."""
+        seen = []
+
+        def recorded(w, cfg):
+            seen.append(w.samples.size)
+            return schmidl_cox_sync(w, cfg)
+
+        monkeypatch.setattr(harness_mod, "schmidl_cox_sync", recorded)
+        link = LinkConfig(
+            n_channels=4, active_channels=(0, 1, 2), channel_under_test=1, osnr_db=38.0
+        )
+        sc = ScenarioConfig(link=link, net_rate=56e9, loopback=loopback)
+        plan = SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2)
+        received = harness_mod._transmit_once(
+            sc, {ch: plan for ch in link.lit_channels}, 1, 4, [0, 2]
+        )
+        assert sorted(received) == [0, 2]
+        assert seen == [frame_geometry(sc.dmt).samples_per_frame] * 2
+
+
+class TestFullCombTable:
+    def test_one_point_per_row_with_every_slot_lit(self, monkeypatch):
+        """``full_comb`` evaluates each row once, on the whole comb at its slots."""
+        calls = []
+
+        def point(sc, seed, channels=None):
+            calls.append((sc, seed, channels))
+            return {ch: 1e-4 * (ch + 1) for ch in channels}
+
+        monkeypatch.setattr(harness_mod, "evaluate_point", point)
+        base = ScenarioConfig(link=LinkConfig(osnr_db=38.0, detuning=19e9))
+        rows = rate_reach_table(base, seed=7, full_comb=True, workers=2)
+        assert len(calls) == len(rows) == len(TABLE_SCENARIOS)
+        for s_idx, ((n, rate, reach), (sc, seed, channels), row) in enumerate(
+            zip(TABLE_SCENARIOS, calls, rows)
+        ):
+            assert sc.link.n_channels == n
+            assert sc.link.lit_channels == tuple(range(n))
+            assert sc.link.channel_under_test is None
+            assert sc.link.total_length_km == reach
+            assert sc.net_rate == rate
+            assert list(channels) == list(range(n))
+            assert seed == _seed_int(7, 606, s_idx)
+            assert row.channel_ber == tuple(1e-4 * (ch + 1) for ch in range(n))

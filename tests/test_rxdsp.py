@@ -27,7 +27,7 @@ from dmtlink.rxdsp import (
     schmidl_cox_sync,
     sqrt_linearize,
 )
-from dmtlink.txdsp import build_training_symbols, modulate_frame
+from dmtlink.txdsp import build_training_symbols, clip, modulate_frame
 
 CFG = DmtConfig()
 
@@ -382,3 +382,22 @@ class TestFullChainIdentity:
         report = count_errors(rx_bits, payload, plan)
         assert report.bit_errors == 0
         assert report.bits_total == payload.size
+
+
+class TestCircularSync:
+    def test_plateau_straddling_capture_start(self):
+        """A one-period capture syncs inside the prefix wherever the period is cut.
+
+        The loopback frame is rolled so that its timing plateau, which runs
+        from the end of the previous frame into TS1, straddles index 0 of
+        the capture; the found start must still land inside TS1's cyclic
+        prefix, before its body, at every roll.
+        """
+        plan = SubcarrierPlan.uniform(CFG.n_data_subcarriers, bits=4)
+        _, frame = _frame(plan)
+        period = clip(frame.waveform, CFG.clipping_ratio_db).samples
+        for offset in range(-80, 81):
+            sync = schmidl_cox_sync(RealWaveform(np.roll(period, offset), 64e9), CFG)
+            into_frame = (sync.start_index - offset) % period.size
+            assert 0 <= sync.start_index < period.size
+            assert 0 <= into_frame < CFG.cp_length, f"roll {offset}: start {into_frame}"
