@@ -26,7 +26,8 @@ Sign conventions, documented once here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,8 +87,11 @@ class FilterSpec:
         """Amplitude response at absolute grid frequencies ``freq``."""
         # worked in place on one buffer: grids reach a million points
         x = np.asarray(freq, dtype=np.float64) - self.center
-        if self.fsr is not None:
-            x -= self.fsr * np.rint(x / self.fsr)  # the period nearest the center
+        if self.fsr is not None:  # the period nearest the center
+            period = np.divide(x, self.fsr)
+            np.rint(period, out=period)
+            period *= self.fsr
+            x -= period
         x /= self.fwhm_3db / 2.0
         power_db = np.square(x, out=x)
         power_db **= self.order
@@ -303,10 +307,10 @@ def _osnr_noise(n: int, sample_rate: float, osnr_db: float, power: float, seed: 
         raise ValueError("cannot set a finite OSNR on a zero-power field")
     psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
     sigma = np.sqrt(psd * sample_rate / 2.0)
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).standard_normal(2 * n)  # n re, then n im
     noise = np.empty(n, dtype=np.complex128)  # sigma * (re + 1j * im), built in place
-    noise.real = rng.standard_normal(n)
-    noise.imag = rng.standard_normal(n)
+    noise.real = draws[:n]
+    noise.imag = draws[n:]
     noise *= sigma
     return noise
 
@@ -429,11 +433,12 @@ def _launch(
     """
     n = drive.samples.size
     spectrum = np.empty(n, dtype=np.complex128)
-    spectrum[: n // 2 + 1] = np.fft.rfft(
-        _mzm_transfer(drive.samples, link.vpi, None, link.drive_swing, link.mzm_bias_margin)
+    np.fft.rfft(
+        _mzm_transfer(drive.samples, link.vpi, None, link.drive_swing, link.mzm_bias_margin),
+        out=spectrum[: n // 2 + 1],
     )
     # the field is real, so its negative frequencies mirror the positive ones
-    spectrum[n // 2 + 1 :] = np.conj(spectrum[(n - 1) // 2 : 0 : -1])
+    np.conjugate(spectrum[(n - 1) // 2 : 0 : -1], out=spectrum[n // 2 + 1 :])
     shift = round((float(link.channel_centers[channel]) + link.detuning) * duration)
     spectrum *= link.interleaver(channel).amplitude_response(freq + shift / duration)
     return spectrum, shift
@@ -454,7 +459,58 @@ def _mux_add(
             f"a carrier {shift} bins off center with {half_band_bins:g} bins of "
             f"half-band would alias on a {composite.size}-bin grid"
         )
-    composite += np.roll(spectrum, shift)
+    split = shift % composite.size  # np.roll's move, without its copy
+    composite[split:] += spectrum[: composite.size - split]
+    composite[:split] += spectrum[composite.size - split :]
+
+
+class _SpanOperators:
+    """The frame-constant operators of one link on an ``n``-bin grid.
+
+    They depend on neither the OSNR nor the frame's content, so
+    ``_span_operators`` keeps them across the frames and the OSNR points of
+    a link.  Every array is read-only: it is shared by every frame.
+    """
+
+    def __init__(self, link: LinkConfig, n: int):
+        self.link, self.n = link, n
+        self.dispersion = None
+        if link.total_length_km > 0:
+            # the phase is even in f, so the non-negative half holds all of it
+            phase = _dispersion_phase(
+                np.fft.rfftfreq(n, d=1.0 / link.grid_rate),
+                link.total_length_km,
+                link.dispersion_ps_nm_km,
+                link.center_wavelength_nm,
+            )
+            self.dispersion = np.exp(1j * phase)
+            self.dispersion.flags.writeable = False
+        self._ports = {}
+
+    def disperse(self, spectrum: np.ndarray) -> None:
+        """Multiply a full spectrum by the dispersion factor, in place."""
+        if self.dispersion is None:
+            return
+        h = self.n // 2 + 1
+        spectrum[:h] *= self.dispersion
+        spectrum[h:] *= self.dispersion[(self.n - 1) // 2 : 0 : -1]
+
+    def receive_port(self, channel: int) -> np.ndarray:
+        """The product of one channel's interleaver and demultiplexer ports."""
+        port = self._ports.get(channel)
+        if port is None:
+            freq = _grid_frequencies(self.n, self.link.grid_rate)
+            port = self.link.interleaver(channel).amplitude_response(freq)
+            port *= self.link.demux(channel).amplitude_response(freq)
+            port.flags.writeable = False
+            self._ports[channel] = port
+        return port
+
+
+@functools.lru_cache(maxsize=1)
+def _span_operators(link: LinkConfig, n: int) -> _SpanOperators:
+    """The operators of the most recent link; ``link`` comes with ``osnr_db`` at inf."""
+    return _SpanOperators(link, n)
 
 
 def optical_span(
@@ -473,6 +529,8 @@ def optical_span(
     dispersion phase and the spectrum of the noise (drawn in the time
     domain, as ``load_noise_to_osnr`` draws it); each receiver applies both
     its ports in one product, transforms back once, detects and captures.
+    The dispersion factor and the receive ports are built the first time a
+    link needs them and kept, read-only, for the most recent link.
 
     Parameters
     ----------
@@ -500,6 +558,10 @@ def optical_span(
     if any(d.sample_rate != rate or d.samples.size != n for d in drives.values()):
         raise ValueError("every drive must be one frame of equal length at the grid rate")
     duration = n / rate
+    rx_channels = list(rx_channels)
+    # a cold build runs before the frame's own grid-sized arrays exist
+    operators = _span_operators(replace(link, osnr_db=np.inf), n)
+    ports = [operators.receive_port(ch) for ch in rx_channels]
     freq = _grid_frequencies(n, rate)
     composite = np.zeros(n, dtype=np.complex128)
     cut_power = None
@@ -509,30 +571,29 @@ def optical_span(
             cut_power = _mean_power(spectrum)
         _mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
         del spectrum  # one launched spectrum alive at a time
-    if link.total_length_km > 0:
-        composite *= np.exp(
-            1j
-            * _dispersion_phase(
-                freq, link.total_length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm
-            )
-        )
+    del freq
+    operators.disperse(composite)
     if np.isfinite(link.osnr_db):
         power = _mean_power(composite) if cut_power is None else cut_power
-        composite += np.fft.fft(_osnr_noise(n, rate, link.osnr_db, power, noise_seed))
+        noise = _osnr_noise(n, rate, link.osnr_db, power, noise_seed)
+        composite += np.fft.fft(noise, out=noise)
+        del noise
 
-    return {ch: _receive(link, ch, composite, freq) for ch in rx_channels}
-
-
-def _receive(
-    link: LinkConfig, channel: int, composite: np.ndarray, freq: np.ndarray
-) -> RealWaveform:
-    """One receiver: both its ports in one product, one inverse FFT, detection, capture."""
-    response = link.interleaver(channel).amplitude_response(freq)
-    response *= link.demux(channel).amplitude_response(freq)
-    field = OpticalField(np.fft.ifft(composite * response), link.grid_rate)
-    return rx_frontend(
-        photodiode(field), link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
-    )
+    captures = {}
+    for i, (ch, port) in enumerate(zip(rx_channels, ports)):
+        if i + 1 < len(rx_channels):
+            field = composite * port
+        else:  # the last receiver takes the composite itself
+            field = composite
+            field *= port
+        detected = np.abs(np.fft.ifft(field, out=field))
+        del field
+        # |E|^2 as ``photodiode`` detects it, without an OpticalField copy of the field
+        detected = RealWaveform(np.square(detected, out=detected), rate)
+        captures[ch] = rx_frontend(
+            detected, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
+        )
+    return captures
 
 
 def end_to_end_fading_profile(

@@ -496,7 +496,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./dmtlink-results)"
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="process pool size (default serial)"
+        "--workers",
+        type=int,
+        default=None,
+        help=(
+            "process pool size of sweep --axis osnr/detuning and table (default serial); "
+            "sweep --axis reach ignores it and runs its searches serially"
+        ),
     )
     parser.add_argument("--channels", type=int, help="comb size override (lights all slots)")
     parser.add_argument("--rate-gbps", type=float, dest="rate_gbps", help="net rate override")

@@ -52,6 +52,8 @@ from dmtlink.rxdsp import (
 )
 from dmtlink.txdsp import build_training_symbols, modulate_frame
 
+pytestmark = pytest.mark.acceptance
+
 RATES = (56e9, 64e9, 74.7e9, 89.6e9, 112e9)
 CFG = DmtConfig()
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dmtlink.harness as harness_mod
-from dmtlink.channel import LinkConfig
+from dmtlink.channel import FilterSpec, LinkConfig
 from dmtlink.core import InfeasibleRateError, SubcarrierPlan, frame_geometry
 from dmtlink.harness import (
     InfeasibleOsnrError,
@@ -172,6 +172,37 @@ class TestTransmitOnceTransforms:
         harness_mod._transmit_once(sc, {ch: plan for ch in link.lit_channels}, 1, 4, [1])
         assert sum(n >= self.GRID_POINTS for n in lengths) <= 9
         assert len(lengths) <= 22
+
+
+class TestTransmitOnceFilterResponses:
+    @pytest.mark.parametrize("lit, expected", [((0, 1, 2), 3), ((1,), 1)])
+    def test_warm_frame_builds_only_launch_ports(self, monkeypatch, lit, expected):
+        """With the link's operators cached, a frame builds one response per lit channel.
+
+        The receive ports and the dispersion factor are kept across the
+        frames of a link (the per-frame build made 5 and 3 calls).
+        """
+        link = LinkConfig(
+            n_channels=4,
+            active_channels=lit,
+            channel_under_test=1,
+            span_lengths_km=(240.0,),
+            osnr_db=38.0,
+        )
+        sc = ScenarioConfig(link=link, net_rate=56e9)
+        plans = {ch: SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2) for ch in lit}
+        harness_mod._transmit_once(sc, plans, 1, 4, [1])  # warms the cache
+
+        calls = []
+        original = FilterSpec.amplitude_response
+
+        def counted(self, freq):
+            calls.append(self)
+            return original(self, freq)
+
+        monkeypatch.setattr(FilterSpec, "amplitude_response", counted)
+        harness_mod._transmit_once(sc, plans, 2, 4, [1])
+        assert len(calls) == expected
 
 
 class TestEvaluatePoint:
