@@ -1,19 +1,14 @@
 """Linear optical channel: modulator, WDM grid, filters, fiber, noise, receiver.
 
-All fields are complex baseband envelopes.  ``OpticalField.center_offset``
-records the absolute frequency (relative to the WDM grid center) that the
-field's own zero frequency corresponds to, so filters and dispersion can be
-evaluated in absolute grid coordinates regardless of which hop of the chain
-produced the field.
-
 A link run uses ``optical_span``, one frequency-domain pass from modulator
-to receiver; the single-field stages below serve ``end_to_end_fading_profile``
-and the tests that pin each stage.
+to receiver.  ``end_to_end_fading_profile`` probes the same pieces (the
+modulator transfer, the dispersion phase and the filter responses) with
+one tone at a time.
 
 Sign conventions, documented once here:
 
 * The Mach-Zehnder transfer is ``E = sin(pi * (v + bias) / (2 * vpi))``; the
-  default bias parks the most negative drive sample slightly above the field
+  bias parks the most negative drive sample slightly above the field
   null, so the envelope stays non-negative (no phase flips).
 * Chromatic dispersion multiplies by ``exp(+j * pi * D * L * lambda^2 * f^2 / c)``
   (anomalous regime for positive D at 1550 nm: higher frequencies are
@@ -32,19 +27,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _spectral
-from .core import OpticalField, RealWaveform, _freeze
+from .core import RealWaveform, _freeze
 
 __all__ = [
     "FilterSpec",
     "LinkConfig",
     "SPEED_OF_LIGHT",
     "end_to_end_fading_profile",
-    "fiber_cd",
-    "load_noise_to_osnr",
-    "mzm",
-    "optical_filter",
     "optical_span",
-    "photodiode",
     "rx_frontend",
 ]
 
@@ -245,45 +235,23 @@ class LinkConfig:
         )
 
 
-def mzm(
-    drive: RealWaveform,
-    vpi: float = 2.0,
-    bias: float | None = None,
-    drive_swing: float = 0.2,
-    bias_margin: float = 0.01,
-) -> OpticalField:
-    """Mach-Zehnder modulator field transfer.
+def _mzm_transfer(
+    samples: np.ndarray, vpi: float, drive_swing: float, bias_margin: float
+) -> np.ndarray:
+    """The Mach-Zehnder modulator's real (chirp-free) field for a drive.
 
     The drive is rescaled so its peak equals ``drive_swing * vpi``, then
-    pushed through ``E = sin(pi * (v + bias) / (2 * vpi))``.  When ``bias``
-    is ``None`` it is chosen as ``-min(v) + bias_margin * vpi``: the lowest
-    drive sample sits just above the field null, keeping the envelope
-    non-negative while staying close to the linear low-bias operating
-    point.
-
-    Returns
-    -------
-    OpticalField
-        Real-valued (chirp-free) envelope at the drive's sample rate,
-        centered on the laser (``center_offset`` 0; the mux assigns grid
-        positions).
+    pushed through ``E = sin(pi * (v + bias) / (2 * vpi))`` with
+    ``bias = -min(v) + bias_margin * vpi``: the lowest drive sample sits just
+    above the field null, keeping the envelope non-negative while staying
+    close to the linear low-bias operating point.
     """
-    field = _mzm_transfer(drive.samples, vpi, bias, drive_swing, bias_margin)
-    return OpticalField(field, drive.sample_rate)
-
-
-def _mzm_transfer(
-    samples: np.ndarray, vpi: float, bias: float | None, drive_swing: float, bias_margin: float
-) -> np.ndarray:
-    """The real field of ``mzm``, as a plain array."""
     if not 0 < drive_swing <= 1:
         raise ValueError("drive_swing must lie in (0, 1]")
     peak = np.max(np.abs(samples))
     v = samples * (drive_swing * vpi / peak if peak > 0 else 1.0)
-    if bias is None:
-        bias = -np.min(v) + bias_margin * vpi
     # sin(pi * (v + bias) / (2 * vpi)), worked in place
-    v += bias
+    v += -np.min(v) + bias_margin * vpi
     v *= np.pi
     v /= 2.0 * vpi
     return np.sin(v, out=v)
@@ -318,71 +286,6 @@ def _osnr_noise(n: int, sample_rate: float, osnr_db: float, power: float, seed: 
 def _mean_power(spectrum: np.ndarray) -> float:
     """Mean power of the signal whose DFT is ``spectrum`` (Parseval)."""
     return float(np.vdot(spectrum, spectrum).real) / spectrum.size**2
-
-
-def optical_filter(field: OpticalField, spec: FilterSpec) -> OpticalField:
-    """Apply a flat-phase filter in the frequency domain.
-
-    The response is evaluated at absolute grid frequencies, i.e. the
-    field's ``center_offset`` shifts where the passband falls on the
-    field's own spectrum.
-    """
-    freq = _grid_frequencies(field.samples.size, field.sample_rate) + field.center_offset
-    spectrum = np.fft.fft(field.samples) * spec.amplitude_response(freq)
-    return OpticalField(np.fft.ifft(spectrum), field.sample_rate, field.center_offset)
-
-
-def fiber_cd(
-    field: OpticalField,
-    length_km: float,
-    dispersion_ps_nm_km: float = 17.0,
-    wavelength_nm: float = 1550.0,
-) -> OpticalField:
-    """All-pass chromatic dispersion over ``length_km`` of fiber.
-
-    Applies ``H(f) = exp(+j * pi * D * L * lambda^2 * f^2 / c)`` at absolute
-    grid frequencies.  Positive D delays higher frequencies; the location
-    of the square-law fading nulls pins the sign.
-    """
-    if length_km < 0:
-        raise ValueError("length_km must be >= 0")
-    if length_km == 0:
-        return field
-    freq = _grid_frequencies(field.samples.size, field.sample_rate) + field.center_offset
-    phase = _dispersion_phase(freq, length_km, dispersion_ps_nm_km, wavelength_nm)
-    spectrum = np.fft.fft(field.samples) * np.exp(1j * phase)
-    return OpticalField(np.fft.ifft(spectrum), field.sample_rate, field.center_offset)
-
-
-def load_noise_to_osnr(
-    field: OpticalField,
-    osnr_db: float,
-    seed: int,
-    reference_power: float | None = None,
-) -> OpticalField:
-    """Add co-polarized white Gaussian noise to hit a target OSNR.
-
-    OSNR is defined as signal power over the noise power falling in a
-    12.5 GHz reference bandwidth; the added noise is white over the whole
-    composite grid, circular complex, and deterministic in ``seed``.
-
-    Parameters
-    ----------
-    reference_power : float, optional
-        Signal power to calibrate against.  Defaults to the field's own
-        power; WDM runs pass the channel-under-test's power so the OSNR
-        refers to the measured channel rather than the whole comb.
-    """
-    if not np.isfinite(osnr_db):
-        return field
-    power = field.power() if reference_power is None else float(reference_power)
-    noise = _osnr_noise(field.samples.size, field.sample_rate, osnr_db, power, seed)
-    return OpticalField(field.samples + noise, field.sample_rate, field.center_offset)
-
-
-def photodiode(field: OpticalField) -> RealWaveform:
-    """Square-law detection: ``i(t) = |E(t)|^2`` with unit responsivity."""
-    return RealWaveform(np.abs(field.samples) ** 2, field.sample_rate)
 
 
 def rx_frontend(
@@ -434,7 +337,7 @@ def _launch(
     n = drive.samples.size
     spectrum = np.empty(n, dtype=np.complex128)
     np.fft.rfft(
-        _mzm_transfer(drive.samples, link.vpi, None, link.drive_swing, link.mzm_bias_margin),
+        _mzm_transfer(drive.samples, link.vpi, link.drive_swing, link.mzm_bias_margin),
         out=spectrum[: n // 2 + 1],
     )
     # the field is real, so its negative frequencies mirror the positive ones
@@ -527,7 +430,7 @@ def optical_span(
     each channel's field is transformed once, shaped by its interleaver
     port and moved onto its laser by a whole-bin shift; the sum takes the
     dispersion phase and the spectrum of the noise (drawn in the time
-    domain, as ``load_noise_to_osnr`` draws it); each receiver applies both
+    domain, then transformed); each receiver applies both
     its ports in one product, transforms back once, detects and captures.
     The dispersion factor and the receive ports are built the first time a
     link needs them and kept, read-only, for the most recent link.
@@ -588,7 +491,7 @@ def optical_span(
             field *= port
         detected = np.abs(np.fft.ifft(field, out=field))
         del field
-        # |E|^2 as ``photodiode`` detects it, without an OpticalField copy of the field
+        # square-law detection, |E|^2 with unit responsivity
         detected = RealWaveform(np.square(detected, out=detected), rate)
         captures[ch] = rx_frontend(
             detected, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
@@ -605,9 +508,12 @@ def end_to_end_fading_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure the link's small-signal RF response by single-tone probing.
 
-    Drives the modulator with one low-amplitude tone at a time, runs the
-    field through the filters (at the given detuning) and the fiber, detects
-    it, and reads back the tone's RF power.  The result is normalized to a
+    Drives the modulator with one low-amplitude tone at a time, passes the
+    field through the interleaver port (at the given detuning), the fiber
+    and the port again, detects it, and reads back the tone's RF power.
+    The pieces are those ``optical_span`` runs: the modulator transfer, the
+    dispersion phase and the filter response, which act on the field's
+    spectrum as one product per reach.  The result is normalized to a
     back-to-back run of the same chain, isolating the dispersion/vestigial-
     sideband interplay from the static filter and modulator shaping.
 
@@ -623,7 +529,7 @@ def end_to_end_fading_profile(
         transmission), exposing the unmitigated fading nulls.
     tone_step : float
         Probe frequency spacing; must be a multiple of the probe's
-        resolution bandwidth (62.5 MHz for the default geometry).
+        resolution bandwidth (31.25 MHz).
     probe_swing : float
         Drive swing for the probe tones, kept small so the response is a
         small-signal measurement.
@@ -645,31 +551,29 @@ def end_to_end_fading_profile(
     bins = np.arange(step_bins, base_n // 2, step_bins)
     freqs = bins * resolution
 
-    t = np.arange(n) / rate
-    tx_il = FilterSpec(center=0.0, fwhm_3db=link.il_fwhm, order=link.il_order, fsr=link.il_fsr)
-
     # The probe waveform keeps the base geometry's 31.25 MHz resolution at
     # any composite rate (same duration, more samples), so a tone at bin k
     # of the 64 GS/s grid also lands exactly on bin k of the composite FFT.
-    def probe(length_km: float) -> np.ndarray:
-        powers = np.empty(freqs.size)
-        for i, (f, k) in enumerate(zip(freqs, bins)):
-            drive = RealWaveform(np.sin(2 * np.pi * f * t), rate)
-            field = mzm(drive, vpi=link.vpi, drive_swing=probe_swing)
-            field = OpticalField(field.samples, rate, center_offset=detuning)
-            if use_interleaver:
-                field = optical_filter(field, tx_il)
-            field = fiber_cd(
-                field, length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm
-            )
-            if use_interleaver:
-                field = optical_filter(field, tx_il)
-            spectrum = np.fft.rfft(photodiode(field).samples)
-            powers[i] = np.abs(spectrum[int(k)]) ** 2
-        return powers
-
-    received = probe(link.total_length_km)
-    reference = probe(0.0)
+    t = np.arange(n) / rate
+    freq = _grid_frequencies(n, rate) + detuning  # absolute grid frequencies
+    if use_interleaver:  # the transmit and the receive pass of one port
+        tx_il = FilterSpec(center=0.0, fwhm_3db=link.il_fwhm, order=link.il_order, fsr=link.il_fsr)
+        port = np.square(tx_il.amplitude_response(freq))
+    else:
+        port = np.ones(n)
+    phase = _dispersion_phase(
+        freq, link.total_length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm
+    )
+    transfers = (port * np.exp(1j * phase), port)  # the link, then back to back
+    powers = np.empty((len(transfers), freqs.size))
+    for i, (f, k) in enumerate(zip(freqs, bins)):
+        # the probe's bias margin is its own 0.01, not the link's mzm_bias_margin
+        field = _mzm_transfer(np.sin(2 * np.pi * f * t), link.vpi, probe_swing, 0.01)
+        spectrum = np.fft.fft(field)
+        for row, transfer in zip(powers, transfers):
+            detected = np.square(np.abs(np.fft.ifft(spectrum * transfer)))
+            row[i] = np.abs(np.fft.rfft(detected)[k]) ** 2
+    received, reference = powers
     with np.errstate(divide="ignore"):
         response_db = 10.0 * np.log10(received / reference)
     return _freeze(freqs), _freeze(response_db)

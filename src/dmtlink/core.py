@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "RealWaveform",
-    "OpticalField",
     "DmtConfig",
     "SubcarrierPlan",
     "BerReport",
@@ -75,33 +74,6 @@ class RealWaveform:
 
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
-
-
-@dataclass(frozen=True)
-class OpticalField:
-    """Complex baseband field envelope (sqrt-power units).
-
-    ``center_offset`` is the frequency of this field's reference (its laser
-    or grid center) relative to the composite-grid reference, so dispersion
-    can be evaluated at absolute frequency offsets.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-    center_offset: float = 0.0
-
-    def __post_init__(self):
-        samples = _freeze(np.asarray(self.samples, dtype=np.complex128))
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-D sequence")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
-        object.__setattr__(self, "center_offset", float(self.center_offset))
-
-    def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Tests for the optical channel: MZM, mux, filters, fiber, noise, receiver."""
+"""Tests for the optical channel: MZM, mux, filters, fiber, noise, receiver.
+
+The single-field stages (``TestMzm``, ``TestOpticalFilter``, ``TestFiberCd``,
+``TestNoiseLoading``, ``TestPhotodiode``) check the time-domain reference
+chain in ``optical_reference.py``; the rest check ``dmtlink.channel``.
+"""
 
 import numpy as np
 import pytest
@@ -13,15 +18,18 @@ from dmtlink.channel import (
     _mean_power,
     _mux_add,
     end_to_end_fading_profile,
+    optical_span,
+    rx_frontend,
+)
+from dmtlink.core import RealWaveform
+from optical_reference import (
+    OpticalField,
     fiber_cd,
     load_noise_to_osnr,
     mzm,
     optical_filter,
-    optical_span,
     photodiode,
-    rx_frontend,
 )
-from dmtlink.core import OpticalField, RealWaveform
 
 
 def _tone_field(freq, n=8192, rate=64e9, amplitude=1.0):
@@ -432,6 +440,52 @@ class TestFadingProfile:
         )
         band = freqs <= 30.4375e9
         assert detuned[band].min() >= centered[band].min() + 6.0
+
+
+def _reference_fading_profile(link, detuning, use_interleaver, tone_step):
+    """The fading probe run through the time-domain stages of ``optical_reference``."""
+    rate = link.grid_rate
+    n = round(2048 * rate / 64e9)
+    bins = np.arange(round(tone_step / 31.25e6), 1024, round(tone_step / 31.25e6))
+    t = np.arange(n) / rate
+    port = FilterSpec(center=0.0, fwhm_3db=link.il_fwhm, order=link.il_order, fsr=link.il_fsr)
+
+    def probe(length_km):
+        powers = []
+        for k in bins:
+            drive = RealWaveform(np.sin(2 * np.pi * k * 31.25e6 * t), rate)
+            field = mzm(drive, vpi=link.vpi, drive_swing=0.05)
+            field = OpticalField(field.samples, rate, center_offset=detuning)
+            if use_interleaver:
+                field = optical_filter(field, port)
+            field = fiber_cd(field, length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm)
+            if use_interleaver:
+                field = optical_filter(field, port)
+            powers.append(np.abs(np.fft.rfft(photodiode(field).samples)[k]) ** 2)
+        return np.array(powers)
+
+    return bins * 31.25e6, 10.0 * np.log10(probe(link.total_length_km) / probe(0.0))
+
+
+class TestFadingProfileAgainstReference:
+    @pytest.mark.parametrize(
+        "link, detuning, use_interleaver",
+        [
+            (LinkConfig(n_channels=4, span_lengths_km=(50.0,)), 19e9, True),
+            (LinkConfig(n_channels=4, span_lengths_km=(160.0,)), 0.0, False),
+            (LinkConfig(n_channels=4, span_lengths_km=()), 19e9, True),
+            (LinkConfig(n_channels=4, span_lengths_km=(240.0,)), 14.25e9, True),
+            (LinkConfig(n_channels=8, span_lengths_km=(80.0,)), 19e9, True),  # 512 GS/s grid
+        ],
+        ids=["50km-19GHz", "160km-dsb", "back-to-back", "240km-14.25GHz", "8-slot-80km"],
+    )
+    def test_matches_time_domain_chain(self, link, detuning, use_interleaver):
+        freqs, response = end_to_end_fading_profile(
+            link, detuning=detuning, use_interleaver=use_interleaver, tone_step=1e9
+        )
+        want_freqs, want = _reference_fading_profile(link, detuning, use_interleaver, 1e9)
+        assert np.array_equal(freqs, want_freqs)
+        assert np.max(np.abs(response - want)) <= 1e-12
 
 
 class TestLinkConfig:

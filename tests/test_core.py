@@ -8,7 +8,6 @@ from dmtlink.core import (
     BerReport,
     DmtConfig,
     InfeasibleRateError,
-    OpticalField,
     RealWaveform,
     SubcarrierPlan,
     bits_to_groups,
@@ -19,6 +18,7 @@ from dmtlink.core import (
     map_symbols,
     target_bits_per_symbol,
 )
+from optical_reference import OpticalField
 
 PAPER_CFG = DmtConfig()
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dmtlink.harness as harness_mod
-from dmtlink.channel import FilterSpec, LinkConfig
+from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile
 from dmtlink.core import InfeasibleRateError, SubcarrierPlan, frame_geometry
 from dmtlink.harness import (
     InfeasibleOsnrError,
@@ -172,6 +172,27 @@ class TestTransmitOnceTransforms:
         harness_mod._transmit_once(sc, {ch: plan for ch in link.lit_channels}, 1, 4, [1])
         assert sum(n >= self.GRID_POINTS for n in lengths) <= 9
         assert len(lengths) <= 22
+
+
+class TestFadingProfileTransforms:
+    def test_at_most_five_transforms_per_tone(self, monkeypatch):
+        """With the interleaver and fiber, each tone costs one fft and two ifft/rfft pairs.
+
+        The time-domain chain made 12 per tone: a round trip per filter or
+        fiber pass and one rfft, for the reach and for back to back.
+        """
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                calls.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        link = LinkConfig(n_channels=4, span_lengths_km=(50.0,))
+        freqs, _ = end_to_end_fading_profile(link, detuning=19e9, tone_step=1e9)
+        assert len(calls) <= 5 * freqs.size
 
 
 class TestTransmitOnceFilterResponses:

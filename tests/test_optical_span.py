@@ -1,27 +1,27 @@
 """Property tests: ``optical_span`` against the time-domain chain it replaces.
 
-The reference below is the chain the harness used to run, with one change:
-the WDM mux mixes each channel with the exact phase
-``exp(2j*pi*((k*n) mod N)/N)`` of its laser's bin ``k``.  Mixing with
-``exp(2j*pi*offset*t)`` reaches ~1.7e6 rad on a full frame and carries
-~1e-10 relative error, more than the 1e-12 bound checked here.
+The reference below runs the stages of ``optical_reference.py``, the chain
+the harness used to run, with one change: the WDM mux mixes each channel
+with the exact phase ``exp(2j*pi*((k*n) mod N)/N)`` of its laser's bin
+``k``.  Mixing with ``exp(2j*pi*offset*t)`` reaches ~1.7e6 rad on a full
+frame and carries ~1e-10 relative error, more than the 1e-12 bound checked
+here.
 """
 
 import numpy as np
 import pytest
 
 from dmtlink import _spectral
-from dmtlink.channel import (
-    LinkConfig,
+from dmtlink.channel import LinkConfig, optical_span, rx_frontend
+from dmtlink.core import RealWaveform
+from optical_reference import (
+    OpticalField,
     fiber_cd,
     load_noise_to_osnr,
     mzm,
     optical_filter,
-    optical_span,
     photodiode,
-    rx_frontend,
 )
-from dmtlink.core import OpticalField, RealWaveform
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from dmtlink.channel import photodiode
 from dmtlink.core import (
     DmtConfig,
-    OpticalField,
     RealWaveform,
     SubcarrierPlan,
     constellation,
@@ -28,6 +26,7 @@ from dmtlink.rxdsp import (
     sqrt_linearize,
 )
 from dmtlink.txdsp import build_training_symbols, clip, modulate_frame
+from optical_reference import OpticalField, photodiode
 
 CFG = DmtConfig()
 
