@@ -1,9 +1,10 @@
 """Linear optical channel: modulator, WDM grid, filters, fiber, noise, receiver.
 
 A link run uses ``optical_span``, one frequency-domain pass from modulator
-to receiver.  ``end_to_end_fading_profile`` probes the same pieces (the
-modulator transfer, the dispersion phase and the filter responses) with
-one tone at a time.
+to receiver; its OSNR noise is drawn directly as a spectrum, over the bins
+a receiver passes.  ``end_to_end_fading_profile`` probes the same pieces
+(the modulator transfer, the dispersion phase and the filter responses)
+with one tone at a time.
 
 Sign conventions, documented once here:
 
@@ -269,18 +270,36 @@ def _dispersion_phase(
     return np.pi * d_si * (length_km * 1e3) * lam**2 * freq**2 / SPEED_OF_LIGHT
 
 
-def _osnr_noise(n: int, sample_rate: float, osnr_db: float, power: float, seed: int) -> np.ndarray:
-    """White circular noise putting a signal of ``power`` at ``osnr_db``."""
+def _add_osnr_noise(
+    spectrum: np.ndarray,
+    band: np.ndarray,
+    sample_rate: float,
+    osnr_db: float,
+    power: float,
+    seed: int,
+) -> None:
+    """Add, in place, the spectrum of white noise putting a signal of ``power`` at ``osnr_db``.
+
+    Circular noise ``sigma * (re + 1j * im)`` per sample has, as its DFT,
+    circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
+    so the spectrum is drawn directly, with no transform.  It is drawn only
+    over ``band``, ``[start, stop)`` bin ranges in ascending order: one
+    ``standard_normal(2 * m)`` for its ``m`` bins, the first ``m`` values
+    the real parts and the next ``m`` the imaginary parts.
+    """
     if power <= 0:
         raise ValueError("cannot set a finite OSNR on a zero-power field")
     psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
     sigma = np.sqrt(psd * sample_rate / 2.0)
-    draws = np.random.default_rng(seed).standard_normal(2 * n)  # n re, then n im
-    noise = np.empty(n, dtype=np.complex128)  # sigma * (re + 1j * im), built in place
-    noise.real = draws[:n]
-    noise.imag = draws[n:]
-    noise *= sigma
-    return noise
+    m = int(np.sum(band[:, 1] - band[:, 0]))
+    draws = np.random.default_rng(seed).standard_normal(2 * m)
+    draws *= np.sqrt(spectrum.size) * sigma
+    at = 0
+    for start, stop in band:
+        width = stop - start
+        spectrum.real[start:stop] += draws[at : at + width]
+        spectrum.imag[start:stop] += draws[m + at : m + at + width]
+        at += width
 
 
 def _mean_power(spectrum: np.ndarray) -> float:
@@ -389,6 +408,7 @@ class _SpanOperators:
             self.dispersion = np.exp(1j * phase)
             self.dispersion.flags.writeable = False
         self._ports = {}
+        self._bands = {}
 
     def disperse(self, spectrum: np.ndarray) -> None:
         """Multiply a full spectrum by the dispersion factor, in place."""
@@ -408,6 +428,23 @@ class _SpanOperators:
             port.flags.writeable = False
             self._ports[channel] = port
         return port
+
+    def noise_band(self, channels) -> np.ndarray:
+        """The bins some channel's receive port passes above float64's epsilon.
+
+        Returned as ``[start, stop)`` rows in ascending order; noise outside
+        them reaches no capture.
+        """
+        key = frozenset(channels)
+        band = self._bands.get(key)
+        if band is None:
+            passed = np.zeros(self.n + 2, dtype=bool)  # a stop bin either side
+            for ch in key:
+                passed[1:-1] |= self.receive_port(ch) > np.finfo(np.float64).eps
+            band = np.flatnonzero(np.diff(passed)).reshape(-1, 2)
+            band.flags.writeable = False
+            self._bands[key] = band
+        return band
 
 
 @functools.lru_cache(maxsize=1)
@@ -429,11 +466,12 @@ def optical_span(
     span is linear and diagonal in frequency over one circular frame.  So
     each channel's field is transformed once, shaped by its interleaver
     port and moved onto its laser by a whole-bin shift; the sum takes the
-    dispersion phase and the spectrum of the noise (drawn in the time
-    domain, then transformed); each receiver applies both
-    its ports in one product, transforms back once, detects and captures.
-    The dispersion factor and the receive ports are built the first time a
-    link needs them and kept, read-only, for the most recent link.
+    dispersion phase and the noise, drawn directly as its spectrum over the
+    bins some receiver passes above float64's epsilon; each receiver
+    applies both its ports in one product, transforms back once, detects
+    and captures.  The dispersion factor, the receive ports and each
+    receive set's noise band are built the first time a link needs them
+    and kept, read-only, for the most recent link.
 
     Parameters
     ----------
@@ -465,6 +503,8 @@ def optical_span(
     # a cold build runs before the frame's own grid-sized arrays exist
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     ports = [operators.receive_port(ch) for ch in rx_channels]
+    noisy = np.isfinite(link.osnr_db)
+    band = operators.noise_band(rx_channels) if noisy else None
     freq = _grid_frequencies(n, rate)
     composite = np.zeros(n, dtype=np.complex128)
     cut_power = None
@@ -476,11 +516,9 @@ def optical_span(
         del spectrum  # one launched spectrum alive at a time
     del freq
     operators.disperse(composite)
-    if np.isfinite(link.osnr_db):
+    if noisy:
         power = _mean_power(composite) if cut_power is None else cut_power
-        noise = _osnr_noise(n, rate, link.osnr_db, power, noise_seed)
-        composite += np.fft.fft(noise, out=noise)
-        del noise
+        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed)
 
     captures = {}
     for i, (ch, port) in enumerate(zip(rx_channels, ports)):
@@ -567,8 +605,9 @@ def end_to_end_fading_profile(
     transfers = (port * np.exp(1j * phase), port)  # the link, then back to back
     powers = np.empty((len(transfers), freqs.size))
     for i, (f, k) in enumerate(zip(freqs, bins)):
-        # the probe's bias margin is its own 0.01, not the link's mzm_bias_margin
-        field = _mzm_transfer(np.sin(2 * np.pi * f * t), link.vpi, probe_swing, 0.01)
+        field = _mzm_transfer(
+            np.sin(2 * np.pi * f * t), link.vpi, probe_swing, link.mzm_bias_margin
+        )
         spectrum = np.fft.fft(field)
         for row, transfer in zip(powers, transfers):
             detected = np.square(np.abs(np.fft.ifft(spectrum * transfer)))

@@ -5,9 +5,12 @@ The single-field stages (``TestMzm``, ``TestOpticalFilter``, ``TestFiberCd``,
 chain in ``optical_reference.py``; the rest check ``dmtlink.channel``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import dmtlink.channel as channel_mod
 from dmtlink import _spectral
 from dmtlink.channel import (
     FilterSpec,
@@ -454,7 +457,7 @@ def _reference_fading_profile(link, detuning, use_interleaver, tone_step):
         powers = []
         for k in bins:
             drive = RealWaveform(np.sin(2 * np.pi * k * 31.25e6 * t), rate)
-            field = mzm(drive, vpi=link.vpi, drive_swing=0.05)
+            field = mzm(drive, vpi=link.vpi, drive_swing=0.05, bias_margin=link.mzm_bias_margin)
             field = OpticalField(field.samples, rate, center_offset=detuning)
             if use_interleaver:
                 field = optical_filter(field, port)
@@ -486,6 +489,32 @@ class TestFadingProfileAgainstReference:
         want_freqs, want = _reference_fading_profile(link, detuning, use_interleaver, 1e9)
         assert np.array_equal(freqs, want_freqs)
         assert np.max(np.abs(response - want)) <= 1e-12
+
+    def test_probe_biases_the_modulator_with_the_link_margin(self, monkeypatch):
+        """The probe takes ``link.mzm_bias_margin``; the normalized profile does not move.
+
+        A tone's field ``sin(kb + z sin wt)`` has its even harmonics in
+        ``sin(kb)`` and its odd ones in ``cos(kb)`` (Jacobi-Anger), so every
+        beat that lands on the tone carries ``sin(kb) cos(kb)``, and the
+        ratio to back to back cancels the bias.
+        """
+        margins = []
+        original = channel_mod._mzm_transfer
+
+        def recorded(samples, vpi, drive_swing, bias_margin):
+            margins.append(bias_margin)
+            return original(samples, vpi, drive_swing, bias_margin)
+
+        monkeypatch.setattr(channel_mod, "_mzm_transfer", recorded)
+        link = LinkConfig(n_channels=4, span_lengths_km=(50.0,), mzm_bias_margin=0.05)
+        _, response = end_to_end_fading_profile(link, detuning=19e9, tone_step=1e9)
+        assert margins and set(margins) == {0.05}
+        _, want = _reference_fading_profile(link, 19e9, True, 1e9)
+        assert np.max(np.abs(response - want)) <= 1e-12
+        _, default = end_to_end_fading_profile(
+            replace(link, mzm_bias_margin=0.01), detuning=19e9, tone_step=1e9
+        )
+        assert np.max(np.abs(response - default)) <= 1e-12
 
 
 class TestLinkConfig:

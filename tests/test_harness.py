@@ -174,6 +174,43 @@ class TestTransmitOnceTransforms:
         assert len(lengths) <= 22
 
 
+class TestTransmitOnceNoiseTransforms:
+    GRID_POINTS = 1_031_680  # one frame on the 256 GS/s composite grid
+
+    @pytest.mark.parametrize("lit, budget", [((0, 1, 2), 8), ((1,), 4)])
+    def test_noise_spectrum_costs_no_transform(self, monkeypatch, lit, budget):
+        """A payload frame receiving channel 1 makes no grid-sized ``fft``.
+
+        The noise is drawn as its spectrum, so a 3-lit frame makes at most
+        8 grid-sized transforms and a single-lit one 4 (drawn in the time
+        domain and transformed, it made 9 and 5).
+        """
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                out = _original(a, *args, **kwargs)
+                axis = kwargs.get("axis", -1)
+                calls.append((_name, max(np.shape(a)[axis], out.shape[axis])))
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        link = LinkConfig(
+            n_channels=4,
+            active_channels=lit,
+            channel_under_test=1,
+            span_lengths_km=(240.0,),
+            osnr_db=38.0,
+        )
+        sc = ScenarioConfig(link=link, net_rate=56e9)
+        plans = {ch: SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2) for ch in lit}
+        harness_mod._transmit_once(sc, plans, 1, 4, [1])
+        grid = [name for name, n in calls if n >= self.GRID_POINTS]
+        assert len(grid) <= budget
+        assert "fft" not in grid
+
+
 class TestFadingProfileTransforms:
     def test_at_most_five_transforms_per_tone(self, monkeypatch):
         """With the interleaver and fiber, each tone costs one fft and two ifft/rfft pairs.

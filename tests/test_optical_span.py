@@ -1,33 +1,56 @@
 """Property tests: ``optical_span`` against the time-domain chain it replaces.
 
 The reference below runs the stages of ``optical_reference.py``, the chain
-the harness used to run, with one change: the WDM mux mixes each channel
-with the exact phase ``exp(2j*pi*((k*n) mod N)/N)`` of its laser's bin
-``k``.  Mixing with ``exp(2j*pi*offset*t)`` reaches ~1.7e6 rad on a full
-frame and carries ~1e-10 relative error, more than the 1e-12 bound checked
-here.
+the harness used to run, with two changes:
+
+* The WDM mux mixes each channel with the exact phase
+  ``exp(2j*pi*((k*n) mod N)/N)`` of its laser's bin ``k``.  Mixing with
+  ``exp(2j*pi*offset*t)`` reaches ~1.7e6 rad on a full frame and carries
+  ~1e-10 relative error, more than the 1e-12 bound checked here.
+* The noise is full-band and added in the time domain, but built from its
+  spectrum so that it shares the span's draw: the bins where some
+  receiver's interleaver-times-demultiplexer amplitude exceeds float64's
+  epsilon hold ``sqrt(N)*sigma*(re + 1j*im)`` from
+  ``default_rng(seed).standard_normal(2*m)``, and the other bins are
+  filled from a second generator.  The span draws no noise there, so the
+  1e-12 bound also shows that nothing it leaves out reaches a capture.
 """
 
 import numpy as np
 import pytest
 
 from dmtlink import _spectral
-from dmtlink.channel import LinkConfig, optical_span, rx_frontend
+from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, LinkConfig, optical_span, rx_frontend
 from dmtlink.core import RealWaveform
-from optical_reference import (
-    OpticalField,
-    fiber_cd,
-    load_noise_to_osnr,
-    mzm,
-    optical_filter,
-    photodiode,
-)
+from optical_reference import OpticalField, fiber_cd, mzm, optical_filter, photodiode
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 N = 2048  # one 8 ns frame on the 256 GS/s grid of a 4-slot comb
 DAC_RATE = 64e9
+
+
+def _full_band_noise(link, rx_channels, noise_seed, power):
+    """Time-domain noise whose in-band bins follow the span's draw."""
+    rate = link.grid_rate
+    freq = np.fft.fftfreq(N, d=1.0 / rate)
+    passed = np.zeros(N, dtype=bool)
+    for ch in rx_channels:
+        port = link.interleaver(ch).amplitude_response(freq)
+        port *= link.demux(ch).amplitude_response(freq)
+        passed |= port > np.finfo(np.float64).eps
+    psd = power / (10 ** (link.osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
+    sigma = np.sqrt(psd * rate / 2.0)
+    spectrum = np.empty(N, dtype=complex)
+    for bins, rng in (
+        (passed, np.random.default_rng(noise_seed)),
+        (~passed, np.random.default_rng([noise_seed, 1])),
+    ):
+        m = np.count_nonzero(bins)
+        draws = rng.standard_normal(2 * m)
+        spectrum[bins] = np.sqrt(N) * sigma * (draws[:m] + 1j * draws[m:])
+    return np.fft.ifft(spectrum)
 
 
 def _reference_span(link, drives, rx_channels, noise_seed):
@@ -51,7 +74,10 @@ def _reference_span(link, drives, rx_channels, noise_seed):
         link.dispersion_ps_nm_km,
         link.center_wavelength_nm,
     )
-    field = load_noise_to_osnr(field, link.osnr_db, noise_seed, reference_power=cut_power)
+    if np.isfinite(link.osnr_db):
+        power = field.power() if cut_power is None else cut_power
+        noise = _full_band_noise(link, rx_channels, noise_seed, power)
+        field = OpticalField(field.samples + noise, rate)
     captures = {}
     for ch in rx_channels:
         field_rx = optical_filter(optical_filter(field, link.interleaver(ch)), link.demux(ch))
