@@ -118,10 +118,6 @@ class DmtConfig:
     def oversampling(self) -> float:
         return (self.fft_size / 2) / self.n_data_subcarriers
 
-    @property
-    def subcarrier_spacing(self) -> float:
-        return self.dac_rate / self.fft_size
-
 
 @dataclass(frozen=True)
 class SubcarrierPlan:

@@ -17,10 +17,12 @@ of cycles per period; carrier offsets are therefore snapped to the frame's
 spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The WDM mux is
 then an exact whole-bin shift of each channel's spectrum, not a mixer, and
 the optical span from modulator to photodiode runs on one composite spectrum
-(``channel.optical_span``).  The receiver synchronizes on the one-period
-capture itself, reading it circularly (a timing window that runs past the
-end continues at the start, as it does in the looped signal), and
-demodulates the period rolled to the found start.
+(``channel.optical_span``).  The receiver reads the one-period capture
+circularly, in sync and in demodulation alike (a window that runs past the
+end continues at the start, as it does in the looped signal).  Every frame
+of a run sees the same span with the same delay, so each lit channel is
+synchronized once, on its probe capture, and every frame of that channel
+is demodulated at the start found there.
 
 Neighborhood equivalence
 ------------------------
@@ -50,15 +52,12 @@ import numpy as np
 from . import __version__
 from .channel import LinkConfig, SPEED_OF_LIGHT, optical_span
 from .core import (
-    BerReport,
     DmtConfig,
     InfeasibleRateError,
-    RealWaveform,
     SubcarrierPlan,
-    frame_geometry,
     target_bits_per_symbol,
 )
-from .loading import GapConfig, SnrProfile, chow_load, estimate_snr
+from .loading import GapConfig, chow_load, estimate_snr
 from .rxdsp import (
     SyncNotFoundError,
     channel_estimate,
@@ -288,11 +287,14 @@ def _with_context(exc, context: str):
     return type(exc)(f"{context}: {exc.args[0] if exc.args else exc}")
 
 
-def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
+def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels, timing):
     """Run one frame through the chain and demodulate ``rx_channels``.
 
     ``plans`` maps every lit channel to its SubcarrierPlan; ``stage``
     separates the seed streams of the probe pass and each payload frame.
+    ``timing`` maps each channel to the ``SyncResult`` its frames are
+    demodulated at; a channel missing from it is first synchronized on this
+    capture (the probe pass fills it, payload frames only read it).
     Returns ``{channel: (tx_symbols, tx_bits, demodulated)}``: the frame's
     transmitted subcarrier values (training rows first), its payload bits,
     and the received ``DemodulatedFrame``.
@@ -323,35 +325,28 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
 
     received = {}
     for ch in rx_channels:
-        demod = _receive_capture(captures.pop(ch), dmt)
+        capture = captures.pop(ch)
+        if ch not in timing:
+            try:
+                timing[ch] = schmidl_cox_sync(capture, dmt)
+            except SyncNotFoundError as exc:
+                raise _with_context(exc, f"channel {ch}") from exc
+        demod = demodulate(capture, timing[ch], dmt)
         received[ch] = (frames[ch].frequency_symbols, frames[ch].tx_bits, demod)
     return received
-
-
-def _receive_capture(wave: RealWaveform, dmt: DmtConfig):
-    """Synchronize on one one-period capture and demodulate it.
-
-    The capture is one period of the steady-state receive signal, so the
-    synchronizer reads it circularly, and the frame is demodulated from the
-    period rolled to the found start.
-    """
-    n = frame_geometry(dmt).samples_per_frame
-    if wave.samples.size != n:
-        raise ValueError(f"capture holds {wave.samples.size} samples, expected one frame of {n}")
-    found = schmidl_cox_sync(wave, dmt)
-    rolled = RealWaveform(np.roll(wave.samples, -found.start_index), wave.sample_rate)
-    return demodulate(rolled, replace(found, start_index=0), dmt)
 
 
 def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     """Execute one scenario: probe, load, then measure until counting depth.
 
     The probe pass sends a uniform-QPSK frame on every lit channel,
-    estimates each channel's SNR profile at the receiver, and derives its
-    bit/power plan; payload frames then accumulate a pooled error count per
-    evaluated channel until the scenario's counting depth (``min_bits`` or
-    ``min_errors``) is reached.  Probe and payload passes see independent
-    noise but the same channel.
+    synchronizes on each channel's capture, estimates its SNR profile at
+    the receiver, and derives its bit/power plan; payload frames then
+    accumulate a pooled error count per evaluated channel until the
+    scenario's counting depth (``min_bits`` or ``min_errors``) is reached.
+    Probe and payload passes see independent noise but the same channel,
+    with the same delay, so every frame of a channel is demodulated at the
+    start its probe capture gave: one timing decision per channel per run.
 
     Parameters
     ----------
@@ -368,7 +363,9 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     InfeasibleRateError
         If a channel's SNR cannot carry the target bits per symbol.
     SyncNotFoundError
-        If frame timing cannot be recovered on an evaluated channel.
+        If frame timing cannot be recovered on a lit channel's probe
+        capture; the message names the channel.  Payload frames never
+        synchronize, so sync is lost only in the probe pass.
     """
     t0 = time.perf_counter()
     link, dmt = sc.link, sc.dmt
@@ -380,8 +377,9 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     context = f"scenario {scenario_hash(sc)}"
 
     probe_plan = SubcarrierPlan.uniform(dmt.n_data_subcarriers, bits=2)
+    timing = {}
     try:
-        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit)
+        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing)
     except SyncNotFoundError as exc:
         raise _with_context(exc, context + " probe pass") from exc
 
@@ -399,12 +397,9 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     n_frames = max(1, math.ceil(sc.min_bits / sc.bits_per_frame))
     reports = {ch: None for ch in eval_channels}
     for frame_idx in range(n_frames):
-        try:
-            captures = _transmit_once(sc, plans, 1 + frame_idx, seed, eval_channels)
-        except SyncNotFoundError as exc:
-            raise _with_context(exc, f"{context} frame {frame_idx}") from exc
+        received = _transmit_once(sc, plans, 1 + frame_idx, seed, eval_channels, timing)
         for ch in eval_channels:
-            tx_symbols, tx_bits, demod = captures[ch]
+            tx_symbols, tx_bits, demod = received[ch]
             known_ts = tx_symbols[: dmt.n_training_symbols]
             state = channel_estimate(demod.training[1:], known_ts[1:])
             equalized, _ = dd_equalize(demod.data, state, plans[ch])

@@ -209,20 +209,22 @@ def demodulate(w: RealWaveform, sync: SyncResult, cfg: DmtConfig) -> Demodulated
 
     Symbol windows are laid out every ``fft_size + cp_length`` samples from
     ``sync.start_index``; a start anywhere inside the cyclic prefix is a
-    cyclic rotation of every symbol and therefore harmless.
+    cyclic rotation of every symbol and therefore harmless.  The capture is
+    read as one period, as ``schmidl_cox_sync`` reads it: frame sample ``i``
+    is capture sample ``start_index + i`` modulo the capture length, so a
+    frame that starts anywhere in the capture is demodulated whole.
 
     Raises
     ------
     ValueError
-        If the capture ends before the last symbol's window.
+        If the capture is shorter than one frame.
     """
     sps = cfg.fft_size + cfg.cp_length
     n_symbols = cfg.n_training_symbols + cfg.n_data_symbols
-    start = sync.start_index
-    if start < 0 or start + (n_symbols - 1) * sps + cfg.fft_size > w.samples.size:
-        raise ValueError("capture truncated: full frame not available from start_index")
-    offsets = start + np.arange(n_symbols)[:, None] * sps + np.arange(cfg.fft_size)[None, :]
-    bodies = w.samples[offsets]
+    if w.samples.size < n_symbols * sps:
+        raise ValueError("capture truncated: shorter than one frame")
+    period = np.roll(w.samples, -sync.start_index)[: n_symbols * sps]
+    bodies = period.reshape(n_symbols, sps)[:, : cfg.fft_size]
     spectra = np.fft.rfft(bodies, axis=1) / np.sqrt(cfg.fft_size)
     symbols = spectra[:, 1 : cfg.n_data_subcarriers + 1]
     return DemodulatedFrame(

@@ -19,8 +19,9 @@ from .core import (
     DmtConfig,
     RealWaveform,
     SubcarrierPlan,
+    bits_to_groups,
     constellation,
-    frame_geometry,
+    map_symbols,
 )
 
 __all__ = [
@@ -131,8 +132,8 @@ def modulate_frame(
         for b in np.unique(plan.bits[plan.bits > 0]):
             carriers = np.nonzero(plan.bits == b)[0]
             cols = offsets[carriers][:, None] + np.arange(b)
-            groups = bit_matrix[:, cols] @ (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
-            data_rows[:, carriers] = constellation(int(b))[groups]
+            groups = bits_to_groups(bit_matrix[:, cols], int(b))
+            data_rows[:, carriers] = map_symbols(groups, int(b)).reshape(-1, carriers.size)
         data_rows *= np.sqrt(plan.powers)
 
     ts_rows = build_training_symbols(cfg, seed)

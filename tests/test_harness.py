@@ -29,7 +29,7 @@ from dmtlink.harness import (
     sweep_detuning,
     sweep_reach,
 )
-from dmtlink.rxdsp import SyncNotFoundError, schmidl_cox_sync
+from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -42,6 +42,13 @@ def _fast_optical(net_rate=56e9, osnr_db=30.0, **overrides):
     kwargs = dict(min_bits=100_000, min_errors=50)
     kwargs.update(overrides)
     return ScenarioConfig.single_channel(net_rate=net_rate, osnr_db=osnr_db, **kwargs)
+
+
+def _three_lit(loopback=False, **overrides):
+    link = LinkConfig(n_channels=4, active_channels=(0, 1, 2), channel_under_test=1, osnr_db=38.0)
+    return ScenarioConfig(
+        link=link, net_rate=56e9, loopback=loopback, min_errors=10**9, **overrides
+    )
 
 
 class TestScenarioConfig:
@@ -169,7 +176,7 @@ class TestTransmitOnceTransforms:
         )
         sc = ScenarioConfig(link=link, net_rate=56e9)
         plan = SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2)
-        harness_mod._transmit_once(sc, {ch: plan for ch in link.lit_channels}, 1, 4, [1])
+        harness_mod._transmit_once(sc, {ch: plan for ch in link.lit_channels}, 1, 4, [1], {})
         assert sum(n >= self.GRID_POINTS for n in lengths) <= 9
         assert len(lengths) <= 22
 
@@ -205,7 +212,7 @@ class TestTransmitOnceNoiseTransforms:
         )
         sc = ScenarioConfig(link=link, net_rate=56e9)
         plans = {ch: SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2) for ch in lit}
-        harness_mod._transmit_once(sc, plans, 1, 4, [1])
+        harness_mod._transmit_once(sc, plans, 1, 4, [1], {})
         grid = [name for name, n in calls if n >= self.GRID_POINTS]
         assert len(grid) <= budget
         assert "fft" not in grid
@@ -249,7 +256,7 @@ class TestTransmitOnceFilterResponses:
         )
         sc = ScenarioConfig(link=link, net_rate=56e9)
         plans = {ch: SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2) for ch in lit}
-        harness_mod._transmit_once(sc, plans, 1, 4, [1])  # warms the cache
+        harness_mod._transmit_once(sc, plans, 1, 4, [1], {})  # warms the cache
 
         calls = []
         original = FilterSpec.amplitude_response
@@ -259,7 +266,7 @@ class TestTransmitOnceFilterResponses:
             return original(self, freq)
 
         monkeypatch.setattr(FilterSpec, "amplitude_response", counted)
-        harness_mod._transmit_once(sc, plans, 2, 4, [1])
+        harness_mod._transmit_once(sc, plans, 2, 4, [1], {})
         assert len(calls) == expected
 
 
@@ -444,7 +451,8 @@ class TestOnePeriodReceive:
 
     @pytest.mark.parametrize("loopback", [True, False])
     def test_sync_sees_exactly_one_period(self, monkeypatch, loopback):
-        """The synchronizer gets each received channel's one-period capture."""
+        """The synchronizer gets each lit channel's one-period probe capture,
+        once per run, however many payload frames the run counts."""
         seen = []
 
         def recorded(w, cfg):
@@ -452,16 +460,69 @@ class TestOnePeriodReceive:
             return schmidl_cox_sync(w, cfg)
 
         monkeypatch.setattr(harness_mod, "schmidl_cox_sync", recorded)
-        link = LinkConfig(
-            n_channels=4, active_channels=(0, 1, 2), channel_under_test=1, osnr_db=38.0
-        )
-        sc = ScenarioConfig(link=link, net_rate=56e9, loopback=loopback)
-        plan = SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2)
-        received = harness_mod._transmit_once(
-            sc, {ch: plan for ch in link.lit_channels}, 1, 4, [0, 2]
-        )
-        assert sorted(received) == [0, 2]
-        assert seen == [frame_geometry(sc.dmt).samples_per_frame] * 2
+        sc = _three_lit(loopback, min_bits=2 * _three_lit(loopback).bits_per_frame)
+        record = run_link(sc, seed=4, channels=[0, 2])
+        assert sorted(record.reports) == [0, 2]
+        assert record.reports[0].bits_total == 2 * sc.bits_per_frame
+        assert seen == [frame_geometry(sc.dmt).samples_per_frame] * len(sc.link.lit_channels)
+
+
+class TestOneTimingDecisionPerRun:
+    def test_payload_frames_demodulate_at_the_probe_start(self, monkeypatch):
+        """Every payload frame of a channel is demodulated at its probe's start."""
+        found, used = [], []
+
+        def recorded_sync(w, cfg):
+            found.append(schmidl_cox_sync(w, cfg))
+            return found[-1]
+
+        def recorded_demodulate(w, sync, cfg):
+            used.append(sync)
+            return demodulate(w, sync, cfg)
+
+        monkeypatch.setattr(harness_mod, "schmidl_cox_sync", recorded_sync)
+        monkeypatch.setattr(harness_mod, "demodulate", recorded_demodulate)
+        sc = _three_lit(min_bits=3 * _three_lit().bits_per_frame)
+        run_link(sc, seed=4, channels=[0, 2])
+        probe = dict(zip(sc.link.lit_channels, found))
+        assert len(found) == 3 and used[:3] == found
+        payload = used[3:]
+        assert len(payload) == 2 * 3
+        assert payload == [probe[0], probe[2]] * 3
+
+    def test_run_completes_when_sync_fails_after_the_probe(self, monkeypatch):
+        calls = []
+
+        def probe_only(w, cfg):
+            calls.append(w.samples.size)
+            if len(calls) > 3:
+                raise SyncNotFoundError("payload frame synchronized")
+            return schmidl_cox_sync(w, cfg)
+
+        monkeypatch.setattr(harness_mod, "schmidl_cox_sync", probe_only)
+        sc = _three_lit(loopback=True, min_bits=3 * _three_lit().bits_per_frame)
+        record = run_link(sc, seed=1, channels=[0, 1, 2])
+        assert len(calls) == 3
+        assert all(r.bits_total == 3 * sc.bits_per_frame for r in record.reports.values())
+        assert record.worst_ber == 0.0
+
+    def test_lost_sync_names_scenario_probe_pass_and_channel(self, monkeypatch):
+        calls = []
+
+        def lost_on_third(w, cfg):
+            calls.append(w.samples.size)
+            if len(calls) == 3:  # the probe synchronizes channels 0, 1, 2 in order
+                raise SyncNotFoundError("timing metric peak 0.050 below floor 0.1")
+            return schmidl_cox_sync(w, cfg)
+
+        monkeypatch.setattr(harness_mod, "schmidl_cox_sync", lost_on_third)
+        sc = _three_lit(loopback=True)
+        with pytest.raises(SyncNotFoundError) as excinfo:
+            run_link(sc, seed=1)
+        message = str(excinfo.value)
+        assert scenario_hash(sc) in message
+        assert "probe pass" in message
+        assert "channel 2: timing metric peak 0.050" in message
 
 
 class TestFullCombTable:

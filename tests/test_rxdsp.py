@@ -219,6 +219,19 @@ class TestDemodulate:
         with pytest.raises(ValueError):
             demodulate(short, SyncResult(CFG.cp_length, 1.0, 33), CFG)
 
+    def test_windows_past_the_end_wrap_to_the_start(self):
+        """A one-period capture is read circularly: a rolled frame demodulates
+        bit for bit as the frame itself, even when its windows wrap the end."""
+        _, frame = _frame(self.PLAN)
+        n = frame.waveform.samples.size
+        k = n - 1000
+        start = (CFG.cp_length + k) % n  # 968 samples before the end: TS4's window wraps
+        rolled = RealWaveform(np.roll(frame.waveform.samples, k), 64e9)
+        got = demodulate(rolled, SyncResult(start, 1.0, 33), CFG)
+        want = demodulate(frame.waveform, SyncResult(CFG.cp_length, 1.0, 33), CFG)
+        assert np.array_equal(got.training, want.training)
+        assert np.array_equal(got.data, want.data)
+
 
 class TestChannelEstimate:
     def test_identity_channel(self):
