@@ -21,7 +21,8 @@ default output directory comes from ``DMTLINK_OUT_DIR`` when set.
 
 Exit codes: 0 success; 1 measured BER above target; 2 unparseable or
 invalid configuration; 3 infeasible operating point (rate does not load,
-timing unrecoverable, or target BER unreachable at any OSNR).
+timing unrecoverable, or target BER unreachable at any OSNR); 141
+(128 + SIGPIPE) the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -575,13 +576,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed our output (``| head``): end quietly, as a process
+        # killed by SIGPIPE would, with stdout on devnull so that the
+        # interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleRateError, InfeasibleOsnrError, SyncNotFoundError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 if __name__ == "__main__":

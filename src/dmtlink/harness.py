@@ -2,9 +2,11 @@
 
 Ties the transmit DSP, the loading engine, the optical channel, and the
 receive DSP into seeded, reproducible experiments: single link runs with the
-train-then-measure two-pass structure, required-OSNR bisection, detuning
-sweeps, and the rate/reach/channel-count table, with CSV/JSON persistence
-and a process pool for independent sweep points.
+train-then-measure two-pass structure (probe, load, count), the
+required-OSNR search (bisected on the probe pass, with BER counted once at
+the edge it finds), detuning sweeps, and the rate/reach/channel-count
+table, with CSV/JSON persistence and a process pool for independent sweep
+points.
 
 Steady-state capture model
 --------------------------
@@ -336,6 +338,69 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
     return received
 
 
+def _probe(sc: ScenarioConfig, seed: int):
+    """Probe pass: sync each lit channel once and estimate its SNR profile.
+
+    Returns ``(snr, timing)`` keyed by lit channel; every later frame of a
+    channel is demodulated at its ``timing``.
+    """
+    dmt = sc.dmt
+    lit = sc.link.lit_channels
+    probe_plan = SubcarrierPlan.uniform(dmt.n_data_subcarriers, bits=2)
+    timing = {}
+    try:
+        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing)
+    except SyncNotFoundError as exc:
+        raise _with_context(exc, f"scenario {scenario_hash(sc)} probe pass") from exc
+    snr = {}
+    for ch in lit:
+        tx_symbols, _tx_bits, demod = probe[ch]
+        snr[ch] = estimate_snr(np.vstack([demod.training, demod.data]), tx_symbols, dmt)
+    return snr, timing
+
+
+def _load(sc: ScenarioConfig, snr: dict) -> dict:
+    """Bit/power plan of each probed channel at the scenario's rate."""
+    plans = {}
+    for ch, profile in snr.items():
+        try:
+            plans[ch] = chow_load(
+                profile, sc.b_target, sc.gap, max_bits=sc.dmt.max_bits_per_subcarrier
+            )
+        except InfeasibleRateError as exc:
+            raise _with_context(exc, f"scenario {scenario_hash(sc)} channel {ch}") from exc
+    return plans
+
+
+def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -> dict:
+    """Payload frames, from a probe's ``plans`` and ``timing``, to counting depth.
+
+    Returns one pooled report per channel in ``channels``.
+    """
+    dmt = sc.dmt
+    n_frames = max(1, math.ceil(sc.min_bits / sc.bits_per_frame))
+    reports = {ch: None for ch in channels}
+    for frame_idx in range(n_frames):
+        received = _transmit_once(sc, plans, 1 + frame_idx, seed, channels, timing)
+        for ch in channels:
+            tx_symbols, tx_bits, demod = received[ch]
+            known_ts = tx_symbols[: dmt.n_training_symbols]
+            state = channel_estimate(demod.training[1:], known_ts[1:])
+            equalized, _ = dd_equalize(demod.data, state, plans[ch])
+            bits = demap_frame(equalized, plans[ch])
+            report = count_errors(bits, tx_bits, plans[ch])
+            reports[ch] = report if reports[ch] is None else reports[ch].merged(report)
+        if all(r.bit_errors >= sc.min_errors for r in reports.values()):
+            break
+    return reports
+
+
+def _train(sc: ScenarioConfig, seed: int):
+    """Probe and load: ``(plans, timing)`` of every lit channel."""
+    snr, timing = _probe(sc, seed)
+    return _load(sc, snr), timing
+
+
 def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     """Execute one scenario: probe, load, then measure until counting depth.
 
@@ -368,47 +433,15 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
         synchronize, so sync is lost only in the probe pass.
     """
     t0 = time.perf_counter()
-    link, dmt = sc.link, sc.dmt
+    link = sc.link
     eval_channels = [link.cut_index] if channels is None else sorted(set(channels))
-    lit = link.lit_channels
     for ch in eval_channels:
-        if ch not in lit:
+        if ch not in link.lit_channels:
             raise ValueError(f"channel {ch} is not lit in this scenario")
-    context = f"scenario {scenario_hash(sc)}"
 
-    probe_plan = SubcarrierPlan.uniform(dmt.n_data_subcarriers, bits=2)
-    timing = {}
-    try:
-        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing)
-    except SyncNotFoundError as exc:
-        raise _with_context(exc, context + " probe pass") from exc
-
-    snr, plans = {}, {}
-    for ch in lit:
-        tx_symbols, _tx_bits, demod = probe[ch]
-        snr[ch] = estimate_snr(np.vstack([demod.training, demod.data]), tx_symbols, dmt)
-        try:
-            plans[ch] = chow_load(
-                snr[ch], sc.b_target, sc.gap, max_bits=dmt.max_bits_per_subcarrier
-            )
-        except InfeasibleRateError as exc:
-            raise _with_context(exc, f"{context} channel {ch}") from exc
-
-    n_frames = max(1, math.ceil(sc.min_bits / sc.bits_per_frame))
-    reports = {ch: None for ch in eval_channels}
-    for frame_idx in range(n_frames):
-        received = _transmit_once(sc, plans, 1 + frame_idx, seed, eval_channels, timing)
-        for ch in eval_channels:
-            tx_symbols, tx_bits, demod = received[ch]
-            known_ts = tx_symbols[: dmt.n_training_symbols]
-            state = channel_estimate(demod.training[1:], known_ts[1:])
-            equalized, _ = dd_equalize(demod.data, state, plans[ch])
-            bits = demap_frame(equalized, plans[ch])
-            report = count_errors(bits, tx_bits, plans[ch])
-            reports[ch] = report if reports[ch] is None else reports[ch].merged(report)
-        if all(r.bit_errors >= sc.min_errors for r in reports.values()):
-            break
-
+    snr, timing = _probe(sc, seed)
+    plans = _load(sc, snr)
+    reports = _count(sc, seed, plans, timing, eval_channels)
     return RunRecord(
         scenario=sc,
         seed=seed,
@@ -417,6 +450,15 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
         reports=reports,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _operable(step, *args):
+    """``step(*args)``, or None where the link cannot operate at the point:
+    the rate does not load, or frame timing is unrecoverable."""
+    try:
+        return step(*args)
+    except (InfeasibleRateError, SyncNotFoundError):
+        return None
 
 
 def evaluate_point(sc: ScenarioConfig, seed: int, channels=None) -> dict:
@@ -428,9 +470,8 @@ def evaluate_point(sc: ScenarioConfig, seed: int, channels=None) -> dict:
     defaults to the channel under test, as in ``run_link``.
     """
     requested = (sc.link.cut_index,) if channels is None else tuple(channels)
-    try:
-        record = run_link(sc, seed, channels)
-    except (InfeasibleRateError, SyncNotFoundError):
+    record = _operable(run_link, sc, seed, channels)
+    if record is None:
         return {ch: 1.0 for ch in requested}
     return {ch: record.reports[ch].ber for ch in requested}
 
@@ -447,6 +488,26 @@ def _pool_map(tasks, workers):
         return list(pool.map(evaluate_point, *zip(*tasks)))
 
 
+def _osnr_point(sc: ScenarioConfig, osnr_db: float, seed: int):
+    """Scenario and run seed of one OSNR point, for sweep and search alike."""
+    osnr_db = float(osnr_db)
+    return (
+        replace(sc, link=replace(sc.link, osnr_db=osnr_db)),
+        _seed_int(seed, 404, round(osnr_db * 1e6)),
+    )
+
+
+def _bisect(lo: float, hi: float, passes, tol_db: float):
+    """Halve ``(lo, hi)``, ``lo`` failing and ``hi`` passing, to ``tol_db``."""
+    while hi - lo > tol_db:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def required_osnr(
     sc: ScenarioConfig,
     target_ber: float = 4e-3,
@@ -456,42 +517,64 @@ def required_osnr(
 ) -> float:
     """OSNR needed to reach ``target_ber``, by bisection over the bracket.
 
-    Every probe is a fresh two-pass ``run_link`` at the candidate OSNR (the
-    loading adapts to each operating point, as in a trained transceiver).
-    A point where the link cannot even operate — the rate does not load, or
-    frame timing is unrecoverable — counts as BER 1.  Returns the passing
-    end of the final bracket, so the result always meets the target; the
-    quantization is ``tol_db``.
+    Each point is the operating point ``sweep_osnr`` evaluates at that OSNR
+    and seed; its loading adapts to the point, as in a trained
+    transceiver.  The bisection is steered by the probe pass alone: a point
+    passes when its rate loads (timing found, Chow loading feasible), which
+    costs one frame.  The bottom of the bracket is probed only when the
+    final bracket still touches it.  The BER is then counted once, at the
+    passing end of the final bracket, continuing from that point's own
+    probe (its plans and timing; no second probe frame).  If that count
+    misses the target, the top of the bracket is counted, and the search
+    bisects on counted BER between the two, with a point that cannot
+    operate counting as BER 1.
+
+    Returns a point whose BER was counted below the target: the bottom of
+    the bracket, or a point within ``tol_db`` above one seen to fail.
 
     Raises
     ------
+    ValueError
+        If the bracket is not increasing or ``tol_db`` is not a positive
+        finite number (checked before any frame runs).
     InfeasibleOsnrError
-        If the target BER is not met at the upper bracket edge.
+        If the link cannot operate at the top of the bracket, or its
+        counted BER misses the target.
     """
-    lo, hi = bracket
-    if not lo < hi:
+    bottom, top = bracket
+    if not bottom < top:
         raise ValueError("bracket must be increasing")
+    if not (math.isfinite(tol_db) and tol_db > 0):
+        raise ValueError(f"tol_db must be positive and finite, got {tol_db!r}")
 
-    cache = {}
+    cut = sc.link.cut_index
+    trained, ber = {}, {}
 
-    def point(osnr_db: float) -> float:
-        if osnr_db not in cache:
-            cache[osnr_db] = float(sweep_osnr(sc, [osnr_db], seed=seed).ber[0])
-        return cache[osnr_db]
+    def loads(osnr_db: float) -> bool:
+        if osnr_db not in trained:
+            point = _osnr_point(sc, osnr_db, seed)
+            trained[osnr_db] = (point, _operable(_train, *point))
+        return trained[osnr_db][1] is not None
 
-    if point(hi) >= target_ber:
+    def passes(osnr_db: float) -> bool:
+        if osnr_db not in ber:
+            ber[osnr_db] = 1.0
+            if loads(osnr_db):
+                point, (plans, timing) = trained[osnr_db]
+                ber[osnr_db] = _count(*point, plans, timing, [cut])[cut].ber
+        return ber[osnr_db] < target_ber
+
+    if not loads(top):
+        raise InfeasibleOsnrError(f"the link cannot operate at {top:.1f} dB OSNR")
+    lo, hi = _bisect(bottom, top, loads, tol_db)
+    edge = lo if lo == bottom and loads(lo) else hi
+    if passes(edge):
+        return edge
+    if not passes(top):
         raise InfeasibleOsnrError(
-            f"BER {point(hi):.3e} at {hi:.1f} dB OSNR still misses {target_ber:.1e}"
+            f"BER {ber[top]:.3e} at {top:.1f} dB OSNR still misses {target_ber:.1e}"
         )
-    if point(lo) < target_ber:
-        return lo
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if point(mid) < target_ber:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(edge, top, passes, tol_db)[1]
 
 
 def sweep_osnr(
@@ -499,19 +582,13 @@ def sweep_osnr(
 ) -> SweepResult:
     """BER of the channel under test at each OSNR (dB).
 
-    ``required_osnr`` takes its probes from here, so a sweep point and a
-    search probe at the same OSNR and seed agree.  A point where the link
+    Each point has the scenario and seed that ``required_osnr`` gives the
+    same OSNR, so a sweep point and a search point at the same OSNR and
+    seed load the same plan and count the same BER.  A point where the link
     cannot operate counts as BER 1 (see ``evaluate_point``).
     """
     osnrs = np.asarray(list(osnrs), dtype=np.float64)
-    tasks = [
-        (
-            replace(sc, link=replace(sc.link, osnr_db=float(v))),
-            _seed_int(seed, 404, round(float(v) * 1e6)),
-            None,
-        )
-        for v in osnrs
-    ]
+    tasks = [(*_osnr_point(sc, v, seed), None) for v in osnrs]
     return SweepResult(
         axis=osnrs, ber=[max(cell.values()) for cell in _pool_map(tasks, workers)]
     )

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,3 +398,26 @@ class TestFadingCommand:
         strong = rows[rows[:, 1] > -10.0]  # compare away from the nulls
         assert strong.shape[0] > 100
         assert np.max(np.abs(strong[:, 1] - strong[:, 2])) < 0.5
+
+
+class TestClosedOutput:
+    """A reader that closes standard output early (``dmtlink ... | head``)."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_ends_with_sigpipe_code_and_no_traceback(self, tmp_path, unbuffered):
+        src = str(Path(dmtlink.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "dmtlink.cli", "fading", "--reach-km", "80"]
+        proc = subprocess.Popen(
+            command + ["--out-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader leaves before the command prints
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

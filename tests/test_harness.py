@@ -1,6 +1,7 @@
 """Tests for the experiment harness: runs, bisection, sweeps, persistence."""
 
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -27,9 +28,11 @@ from dmtlink.harness import (
     run_link,
     scenario_hash,
     sweep_detuning,
+    sweep_osnr,
     sweep_reach,
 )
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
+from search_reference import required_osnr_full_count
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -332,6 +335,142 @@ class TestRequiredOsnr:
 
         assert ber_at(value, seed=21) < 4e-3
         assert ber_at(value - 3 * tol, seed=22) > 4e-3
+
+
+SEARCH_SEEDS = (1, 2, 3)
+SEARCH_DETUNINGS = (14.25e9, 19e9)
+SEARCH_TOL_DB = 1.0
+
+
+def _search_scenario(detuning):
+    """A fast optical search: 56 Gb/s at 10 km, one payload frame per count."""
+    return _fast_optical(reach_km=10.0, detuning=detuning)
+
+
+def _probe_steps(bracket=(10.0, 50.0), tol_db=SEARCH_TOL_DB):
+    """Halvings that bring ``bracket`` within ``tol_db``."""
+    return math.ceil(math.log2((bracket[1] - bracket[0]) / tol_db))
+
+
+class TestProbeSteeredSearch:
+    @pytest.fixture(scope="class")
+    def searched(self):
+        """Per (detuning, seed): the search's result and the stage of each
+        frame it sent (0 for a probe, 1, 2, ... for payload frames)."""
+        out = {}
+        transmit = harness_mod._transmit_once
+        with pytest.MonkeyPatch.context() as patch:
+            for det in SEARCH_DETUNINGS:
+                for seed in SEARCH_SEEDS:
+                    stages = []
+
+                    def recorded(sc, plans, stage, *args):
+                        stages.append(stage)
+                        return transmit(sc, plans, stage, *args)
+
+                    patch.setattr(harness_mod, "_transmit_once", recorded)
+                    value = required_osnr(
+                        _search_scenario(det), tol_db=SEARCH_TOL_DB, seed=seed
+                    )
+                    out[det, seed] = (value, stages)
+        return out
+
+    def test_same_float_as_the_full_count_reference(self, searched):
+        for (det, seed), (value, _) in searched.items():
+            reference = required_osnr_full_count(
+                _search_scenario(det), tol_db=SEARCH_TOL_DB, seed=seed
+            )
+            assert value == reference, (det, seed)
+
+    def test_search_and_sweep_agree(self, searched):
+        """The result passes under ``sweep_osnr`` at the same seed, and the
+        failing end of the final bracket fails there."""
+        width = 40.0 / 2 ** _probe_steps()
+        for (det, seed), (value, _) in searched.items():
+            ber = sweep_osnr(_search_scenario(det), [value, value - width], seed=seed).ber
+            assert ber[0] < 4e-3 and ber[1] >= 4e-3, (det, seed, value)
+
+    def test_probes_then_one_count_at_the_edge(self, searched):
+        """The top, one probe per halving, then one count; the bottom is
+        never probed, since the final bracket no longer touches it."""
+        sc = _search_scenario(SEARCH_DETUNINGS[0])
+        payload = math.ceil(sc.min_bits / sc.bits_per_frame)
+        expected = [0] * (1 + _probe_steps()) + list(range(1, payload + 1))
+        for key, (value, stages) in searched.items():
+            assert value > 10.0 + SEARCH_TOL_DB
+            assert stages == expected, key
+
+    def test_top_loads_but_its_count_misses(self, monkeypatch):
+        """A target no count can meet: counted at the edge, then at the top."""
+        stages = []
+        transmit = harness_mod._transmit_once
+
+        def recorded(sc, plans, stage, *args):
+            stages.append(stage)
+            return transmit(sc, plans, stage, *args)
+
+        monkeypatch.setattr(harness_mod, "_transmit_once", recorded)
+        with pytest.raises(InfeasibleOsnrError, match="still misses"):
+            required_osnr(_search_scenario(19e9), target_ber=0.0, tol_db=10.0, seed=1)
+        assert stages.count(1) == 2
+
+    @pytest.mark.parametrize("tol_db", [0.0, -0.25, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, monkeypatch, tol_db):
+        def no_frame(*args):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness_mod, "_transmit_once", no_frame)
+        with pytest.raises(ValueError, match="tol_db"):
+            required_osnr(_fast_optical(), tol_db=tol_db)
+
+
+class TestSearchPolicy:
+    """The search's decisions on a stand-in link: a point loads from
+    ``loads_db`` up and counts below the target from ``passes_db`` up."""
+
+    @staticmethod
+    def _stand_in(monkeypatch, loads_db, passes_db):
+        probed, counted = [], []
+
+        def train(sc, seed):
+            probed.append(sc.link.osnr_db)
+            if sc.link.osnr_db < loads_db:
+                raise InfeasibleRateError("rate does not load")
+            return "plans", "timing"
+
+        def count(sc, seed, plans, timing, channels):
+            counted.append(sc.link.osnr_db)
+            ber = 1e-4 if sc.link.osnr_db >= passes_db else 1e-2
+            return {ch: SimpleNamespace(ber=ber) for ch in channels}
+
+        monkeypatch.setattr(harness_mod, "_train", train)
+        monkeypatch.setattr(harness_mod, "_count", count)
+        return probed, counted
+
+    def test_edge_that_counts_below_target_is_returned(self, monkeypatch):
+        probed, counted = self._stand_in(monkeypatch, loads_db=30.5, passes_db=0.0)
+        assert required_osnr(_fast_optical(), tol_db=1.0) == 30.625
+        assert probed == [50.0, 30.0, 40.0, 35.0, 32.5, 31.25, 30.625]
+        assert counted == [30.625]
+
+    def test_edge_that_misses_falls_back_to_counted_bisection(self, monkeypatch):
+        probed, counted = self._stand_in(monkeypatch, loads_db=30.5, passes_db=36.0)
+        assert required_osnr(_fast_optical(), tol_db=1.0) == 36.07421875
+        # the edge, the top, then halvings between them on counted BER
+        assert counted == [30.625, 50.0, 40.3125, 35.46875, 37.890625, 36.6796875, 36.07421875]
+
+    def test_bottom_is_probed_when_the_final_bracket_touches_it(self, monkeypatch):
+        probed, counted = self._stand_in(monkeypatch, loads_db=0.0, passes_db=0.0)
+        assert required_osnr(_fast_optical(), tol_db=10.0) == 10.0
+        assert probed == [50.0, 30.0, 20.0, 10.0]
+        assert counted == [10.0]
+
+    def test_top_that_cannot_operate_is_counted_nowhere(self, monkeypatch):
+        probed, counted = self._stand_in(monkeypatch, loads_db=60.0, passes_db=0.0)
+        with pytest.raises(InfeasibleOsnrError, match="cannot operate at 50.0 dB"):
+            required_osnr(_fast_optical())
+        assert probed == [50.0]
+        assert counted == []
 
 
 class TestSweepDetuning:
