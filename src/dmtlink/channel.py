@@ -2,7 +2,8 @@
 
 A link run uses ``optical_span``, one frequency-domain pass from modulator
 to receiver; its OSNR noise is drawn directly as a spectrum, over the bins
-a receiver passes.  ``end_to_end_fading_profile`` probes the same pieces
+a receiver passes, and each receiver detects on a grid that holds only its
+own passband.  ``end_to_end_fading_profile`` probes the same pieces
 (the modulator transfer, the dispersion phase and the filter responses)
 with one tone at a time.
 
@@ -322,13 +323,31 @@ def rx_frontend(
     deviations around the mean.  Filter and rate change share one
     ``rfft``/``irfft`` pair: only the bins the capture keeps are filtered.
     """
-    if out_rate > w.sample_rate:
+    return _capture(
+        np.fft.rfft(w.samples), w.samples.size, w.sample_rate, bandwidth, out_rate, quantize_bits
+    )
+
+
+def _capture(
+    spectrum: np.ndarray,
+    n_in: int,
+    in_rate: float,
+    bandwidth: float,
+    out_rate: float,
+    quantize_bits: int | None,
+) -> RealWaveform:
+    """``rx_frontend`` from the detected signal's lowest rfft bins.
+
+    ``spectrum`` holds at least the ``n_out // 2 + 1`` bins the capture
+    keeps, on the scale of the rfft of the ``n_in``-sample signal; they
+    are filtered in place.
+    """
+    if out_rate > in_rate:
         raise ValueError("out_rate must not exceed the input rate")
-    n_in = w.samples.size
-    n_out = _spectral.output_length(n_in, w.sample_rate, out_rate)
+    n_out = _spectral.output_length(n_in, in_rate, out_rate)
     kept = n_out // 2 + 1
-    spectrum = np.fft.rfft(w.samples)[:kept]
-    freq = np.fft.rfftfreq(n_in, d=1.0 / w.sample_rate)[:kept]
+    spectrum = spectrum[:kept]
+    freq = np.fft.rfftfreq(n_in, d=1.0 / in_rate)[:kept]
     spectrum /= np.sqrt(1.0 + (freq / bandwidth) ** 8)
     samples = _spectral.irfft_resized(spectrum, n_in, n_out)
     if quantize_bits is not None and np.isfinite(quantize_bits):
@@ -343,6 +362,20 @@ def rx_frontend(
             )
             samples = codes * lsb + mean
     return RealWaveform(samples, out_rate)
+
+
+def _smooth_length(m: int) -> int:
+    """The smallest 2-3-5-smooth integer ``>= m`` (a fast transform length)."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _launch(
@@ -446,6 +479,15 @@ class _SpanOperators:
             self._bands[key] = band
         return band
 
+    def receive_window(self, channel: int) -> tuple[int, int]:
+        """``(start, width)``: the shortest circular run of bins holding the
+        bins one channel's receive port passes (its ``noise_band``)."""
+        band = self.noise_band([channel])
+        starts, stops = band[:, 0], band[:, 1]
+        gaps = np.append(starts[1:], starts[0] + self.n) - stops  # after each run
+        widest = int(np.argmax(gaps))
+        return int(starts[(widest + 1) % len(band)]), self.n - int(gaps[widest])
+
 
 @functools.lru_cache(maxsize=1)
 def _span_operators(link: LinkConfig, n: int) -> _SpanOperators:
@@ -467,11 +509,20 @@ def optical_span(
     each channel's field is transformed once, shaped by its interleaver
     port and moved onto its laser by a whole-bin shift; the sum takes the
     dispersion phase and the noise, drawn directly as its spectrum over the
-    bins some receiver passes above float64's epsilon; each receiver
-    applies both its ports in one product, transforms back once, detects
-    and captures.  The dispersion factor, the receive ports and each
-    receive set's noise band are built the first time a link needs them
-    and kept, read-only, for the most recent link.
+    bins some receiver passes above float64's epsilon.  Each receiver takes
+    the circular run of ``W`` bins its ports pass above that epsilon,
+    applies both ports in one product and lays the run onto a detection
+    grid of ``L`` bins, the smallest 2-3-5-smooth length of at least
+    ``W + K``, where ``K`` is the number of bins the capture keeps (at
+    least ``2K`` for a band narrower than the capture, and at most the
+    frame).  It transforms back, detects and transforms forward on
+    that grid.  A bin-to-position map that is one shift modulo ``L`` leaves
+    ``|E|^2`` unchanged, and with ``L >= W + K`` no beat between passed
+    bins aliases onto a kept bin, so this is detection on the whole frame,
+    to rounding, at about 0.7 of its transform length.  The dispersion
+    factor, the receive ports and each receive set's noise band are built
+    the first time a link needs them and kept, read-only, for the most
+    recent link.
 
     Parameters
     ----------
@@ -503,6 +554,7 @@ def optical_span(
     # a cold build runs before the frame's own grid-sized arrays exist
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     ports = [operators.receive_port(ch) for ch in rx_channels]
+    windows = [operators.receive_window(ch) for ch in rx_channels]
     noisy = np.isfinite(link.osnr_db)
     band = operators.noise_band(rx_channels) if noisy else None
     freq = _grid_frequencies(n, rate)
@@ -520,21 +572,48 @@ def optical_span(
         power = _mean_power(composite) if cut_power is None else cut_power
         _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed)
 
+    kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
     captures = {}
-    for i, (ch, port) in enumerate(zip(rx_channels, ports)):
+    for i, (ch, port, (start, width)) in enumerate(zip(rx_channels, ports, windows)):
+        size = min(_smooth_length(max(width, kept) + kept), n)
         if i + 1 < len(rx_channels):
-            field = composite * port
-        else:  # the last receiver takes the composite itself
-            field = composite
-            field *= port
+            field = np.empty(size, dtype=np.complex128)
+        else:  # the last receiver works in the composite's own buffer
+            field = composite[:size]
+        _lay_window(field, composite, port, start, width)
         detected = np.abs(np.fft.ifft(field, out=field))
         del field
         # square-law detection, |E|^2 with unit responsivity
-        detected = RealWaveform(np.square(detected, out=detected), rate)
-        captures[ch] = rx_frontend(
-            detected, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
+        spectrum = np.fft.rfft(np.square(detected, out=detected))[:kept]
+        del detected
+        spectrum *= size / n  # onto the scale of the n-sample detection
+        captures[ch] = _capture(
+            spectrum, n, rate, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
         )
     return captures
+
+
+def _lay_window(
+    field: np.ndarray, composite: np.ndarray, port: np.ndarray, start: int, width: int
+) -> None:
+    """Lay one receiver's window of ``composite * port`` onto its detection grid.
+
+    Bins ``[start, start + width)``, modulo the composite's ``n``, land on
+    ``field`` at their signed frequency modulo ``field.size``, or all
+    moved down by one shift when they do not wrap; every other position is
+    zero.  A constant shift modulo the grid leaves ``|E|^2`` unchanged.
+    ``field`` may be ``composite[:field.size]`` itself, since each run only
+    moves down, to positions no unread run occupies.
+    """
+    n, size = composite.size, field.size
+    stop = min(start + width, n)  # the upper run is [start, stop)
+    low = start + width - stop  # the wrapped run is [0, low)
+    shift = max(stop - size, 0)
+    for a, b, to in ((0, low, 0), (start, stop, start - shift)):
+        field[to : to + b - a] = composite[a:b]
+        field[to : to + b - a] *= port[a:b]
+    field[low : start - shift] = 0
+    field[stop - shift :] = 0
 
 
 def end_to_end_fading_profile(

@@ -4,10 +4,10 @@ The loading path has two halves.  ``estimate_snr`` turns a received probe
 frame (uniform QPSK on every subcarrier) into a per-subcarrier SNR profile
 using a least-squares channel estimate.  ``chow_load`` then converts that
 profile plus a target bit total into a :class:`~dmtlink.core.SubcarrierPlan`
-via the Chow-Cioffi-Bingham margin iteration.  ``levin_campello_oracle`` is
-an independently written greedy loader used to cross-check ``chow_load`` in
-tests; it is margin-optimal for discrete bit allocations and therefore lower
-bounds the power any correct loader needs.
+via the Chow-Cioffi-Bingham margin iteration.  The tests cross-check it
+against an independently written greedy loader
+(``tests/loading_reference.py``), which is margin-optimal for discrete bit
+allocations and therefore lower bounds the power any correct loader needs.
 
 Both loaders share one feasibility criterion: the profile can carry
 ``sum(min(max_bits, floor(log2(1 + SNR_i / gap))))`` bits at the configured
@@ -16,7 +16,6 @@ gap, and requesting more raises :class:`~dmtlink.core.InfeasibleRateError`.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -30,7 +29,6 @@ __all__ = [
     "chow_load",
     "estimate_snr",
     "gap_from_ber",
-    "levin_campello_oracle",
 ]
 
 SNR_CAP_LINEAR = 1e5
@@ -263,43 +261,6 @@ def chow_load(
             bits[idx] += 1
             diff[idx] -= 1.0
             assigned += 1
-
-    powers = _powers_for_bits(bits, values, gap.gap_linear)
-    return SubcarrierPlan(bits=bits, powers=powers)
-
-
-def levin_campello_oracle(
-    snr: SnrProfile, b_target: int, gap: GapConfig | None = None, max_bits: int | None = None
-) -> SubcarrierPlan:
-    """Greedy margin-optimal discrete loading, used as a reference loader.
-
-    Grants one bit at a time to the subcarrier with the smallest incremental
-    power cost ``gap * 2**b_i / SNR_i`` until ``b_target`` bits are placed
-    (lowest index wins ties).  Because the incremental costs are increasing
-    in ``b_i``, the greedy allocation minimizes total power over all
-    discrete allocations carrying ``b_target`` bits.
-
-    Parameters and errors match :func:`chow_load`.
-    """
-    gap = gap or GapConfig()
-    max_bits = DmtConfig().max_bits_per_subcarrier if max_bits is None else int(max_bits)
-    if b_target < 1:
-        raise ValueError(f"b_target must be >= 1, got {b_target}")
-    values = snr.snr_linear
-    _assert_feasible(values, b_target, gap.gap_linear, max_bits)
-
-    bits = np.zeros(snr.n, dtype=np.int64)
-    heap: list[tuple[float, int]] = [
-        (gap.gap_linear / values[i], i) for i in range(snr.n) if values[i] > 0
-    ]
-    heapq.heapify(heap)
-    placed = 0
-    while placed < b_target:
-        cost, idx = heapq.heappop(heap)
-        bits[idx] += 1
-        placed += 1
-        if bits[idx] < max_bits:
-            heapq.heappush(heap, (cost * 2.0, idx))
 
     powers = _powers_for_bits(bits, values, gap.gap_linear)
     return SubcarrierPlan(bits=bits, powers=powers)

@@ -11,8 +11,8 @@ from dmtlink.loading import (
     chow_load,
     estimate_snr,
     gap_from_ber,
-    levin_campello_oracle,
 )
+from loading_reference import levin_campello_oracle
 
 CFG = DmtConfig()
 
