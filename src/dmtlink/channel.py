@@ -43,6 +43,7 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 OSNR_REFERENCE_BANDWIDTH = 12.5e9
 """Noise reference bandwidth for OSNR (0.1 nm at 1550 nm)."""
+_PROBE_SWING = 0.05  # fading-probe drive, kept small for a small-signal response
 
 
 @dataclass(frozen=True)
@@ -621,7 +622,6 @@ def end_to_end_fading_profile(
     detuning: float | None = None,
     use_interleaver: bool = True,
     tone_step: float = 62.5e6,
-    probe_swing: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure the link's small-signal RF response by single-tone probing.
 
@@ -647,9 +647,6 @@ def end_to_end_fading_profile(
     tone_step : float
         Probe frequency spacing; must be a multiple of the probe's
         resolution bandwidth (31.25 MHz).
-    probe_swing : float
-        Drive swing for the probe tones, kept small so the response is a
-        small-signal measurement.
 
     Returns
     -------
@@ -685,7 +682,7 @@ def end_to_end_fading_profile(
     powers = np.empty((len(transfers), freqs.size))
     for i, (f, k) in enumerate(zip(freqs, bins)):
         field = _mzm_transfer(
-            np.sin(2 * np.pi * f * t), link.vpi, probe_swing, link.mzm_bias_margin
+            np.sin(2 * np.pi * f * t), link.vpi, _PROBE_SWING, link.mzm_bias_margin
         )
         spectrum = np.fft.fft(field)
         for row, transfer in zip(powers, transfers):

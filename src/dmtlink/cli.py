@@ -49,6 +49,7 @@ from .harness import (
     sweep_detuning,
     sweep_osnr,
     sweep_reach,
+    write_csv,
 )
 from .channel import end_to_end_fading_profile
 from .loading import GapConfig
@@ -58,41 +59,98 @@ __all__ = ["ConfigError", "DEFAULT_CONFIG", "build_scenario", "load_config", "ma
 
 OUT_DIR_ENV = "DMTLINK_OUT_DIR"
 
-DEFAULT_CONFIG = {
-    "n_channels": 4,
-    "active_channels": [1],
-    "channel_under_test": 1,
-    "grid_spacing_ghz": 50.0,
-    "detuning_ghz": 19.0,
-    "reach_km": 0.0,
-    "dispersion_ps_nm_km": 17.0,
-    "wavelength_nm": 1550.0,
-    "osnr_db": None,
-    "rx_bandwidth_ghz": 29.4,
-    "rx_sample_rate_gsps": 80.0,
-    "composite_rate_gsps": None,
-    "vpi_v": 2.0,
-    "drive_swing": 0.2,
-    "mzm_bias_margin": 0.01,
-    "il_fwhm_ghz": 44.0,
-    "il_order": 2,
-    "il_fsr_ghz": 100.0,
-    "demux_fwhm_ghz": 44.0,
-    "demux_order": 2,
-    "quantize_bits": None,
-    "rate_gbps": 112.0,
-    "target_ber": 4e-3,
-    "margin_db": 0.0,
-    "min_bits": 1_000_000,
-    "min_errors": 100,
-    "loopback": False,
-    "label": "",
-}
-"""Config file defaults: a single lit channel, back-to-back, noiseless."""
-
 
 class ConfigError(ValueError):
     """The configuration file or overrides cannot be used."""
+
+
+# A kind takes a key's value as JSON gives it and returns its ScenarioConfig
+# field in SI units.  Values are never coerced: "false" is not a bool, 4.7 is
+# not an int and NaN is not a number; each is a ConfigError naming the key.
+
+
+def _check(key: str, value, ok: bool, what: str):
+    if not ok:
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    return value
+
+
+def _is(kind: type, what: str):
+    return lambda key, value: _check(key, value, isinstance(value, kind), what)
+
+
+def _int(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _check(key, value, isinstance(value, int) and not isinstance(value, bool), "an integer")
+
+
+def _float(key: str, value) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    finite = number and abs(value) <= sys.float_info.max  # NaN compares false
+    return float(_check(key, value, finite, "a finite number"))
+
+
+def _giga(key: str, value) -> float:  # GHz, GS/s or Gb/s to Hz, S/s or b/s
+    return _float(key, value) * 1e9
+
+
+def _reach(key: str, value) -> tuple:  # one span; 0 km is back to back
+    km = _check(key, _float(key, value), value >= 0, "at least 0")
+    return (km,) if km > 0 else ()
+
+
+def _osnr(key: str, value) -> float:  # null or +inf is a noiseless link
+    return np.inf if value is None or value == np.inf else _float(key, value)
+
+
+def _slots(key: str, value) -> tuple:
+    _check(key, value, isinstance(value, (list, tuple)), "a list of comb slots")
+    return tuple(_int(key, slot) for slot in value)
+
+
+def _optional(kind):  # null stays None
+    return lambda key, value: None if value is None else kind(key, value)
+
+
+_bool, _str = _is(bool, "true or false"), _is(str, "a string")
+_channel, _channels = _optional(_int), _optional(_slots)  # null: middle slot, whole comb
+
+
+_KEYS = {
+    "n_channels": (4, "link.n_channels", _int),
+    "active_channels": ([1], "link.active_channels", _channels),
+    "channel_under_test": (1, "link.channel_under_test", _channel),
+    "grid_spacing_ghz": (50.0, "link.grid_spacing", _giga),
+    "detuning_ghz": (19.0, "link.detuning", _giga),
+    "reach_km": (0.0, "link.span_lengths_km", _reach),
+    "dispersion_ps_nm_km": (17.0, "link.dispersion_ps_nm_km", _float),
+    "wavelength_nm": (1550.0, "link.center_wavelength_nm", _float),
+    "osnr_db": (None, "link.osnr_db", _osnr),
+    "rx_bandwidth_ghz": (29.4, "link.rx_bandwidth", _giga),
+    "rx_sample_rate_gsps": (80.0, "link.rx_sample_rate", _giga),
+    "composite_rate_gsps": (None, "link.composite_rate", _optional(_giga)),
+    "vpi_v": (2.0, "link.vpi", _float),
+    "drive_swing": (0.2, "link.drive_swing", _float),
+    "mzm_bias_margin": (0.01, "link.mzm_bias_margin", _float),
+    "il_fwhm_ghz": (44.0, "link.il_fwhm", _giga),
+    "il_order": (2, "link.il_order", _int),
+    "il_fsr_ghz": (100.0, "link.il_fsr", _giga),
+    "demux_fwhm_ghz": (44.0, "link.demux_fwhm", _giga),
+    "demux_order": (2, "link.demux_order", _int),
+    "quantize_bits": (None, "link.quantize_bits", _optional(_int)),
+    "rate_gbps": (112.0, "net_rate", _giga),
+    "target_ber": (4e-3, "gap.target_ber", _float),
+    "margin_db": (0.0, "gap.margin_db", _float),
+    "min_bits": (1_000_000, "min_bits", _int),
+    "min_errors": (100, "min_errors", _int),
+    "loopback": (False, "loopback", _bool),
+    "label": ("", "label", _str),
+}
+"""The config schema: key -> (default, the ScenarioConfig field it sets, kind)."""
+
+DEFAULT_CONFIG = {key: default for key, (default, _, _) in _KEYS.items()}
+"""Config file defaults: a single lit channel, back-to-back, noiseless."""
 
 
 def load_config(path: str | None) -> dict:
@@ -118,7 +176,7 @@ def load_config(path: str | None) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError("config must be a JSON object")
     for key in loaded:
-        if key not in DEFAULT_CONFIG:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key '{key}'")
     merged.update(loaded)
     return merged
@@ -126,71 +184,32 @@ def load_config(path: str | None) -> dict:
 
 def build_scenario(cfg: dict) -> ScenarioConfig:
     """Turn a merged config dict into a ScenarioConfig (units to SI)."""
-    osnr = cfg["osnr_db"]
-    composite = cfg["composite_rate_gsps"]
-    active = cfg["active_channels"]
-    reach = float(cfg["reach_km"])
+    fields = {"link": {}, "gap": {}, "": {}}
+    for key, (_, field, kind) in _KEYS.items():
+        group, _, name = field.rpartition(".")
+        fields[group][name] = kind(key, cfg[key])
     try:
-        link = LinkConfig(
-            n_channels=int(cfg["n_channels"]),
-            grid_spacing=float(cfg["grid_spacing_ghz"]) * 1e9,
-            detuning=float(cfg["detuning_ghz"]) * 1e9,
-            span_lengths_km=(reach,) if reach > 0 else (),
-            dispersion_ps_nm_km=float(cfg["dispersion_ps_nm_km"]),
-            center_wavelength_nm=float(cfg["wavelength_nm"]),
-            osnr_db=np.inf if osnr is None else float(osnr),
-            rx_bandwidth=float(cfg["rx_bandwidth_ghz"]) * 1e9,
-            rx_sample_rate=float(cfg["rx_sample_rate_gsps"]) * 1e9,
-            composite_rate=None if composite is None else float(composite) * 1e9,
-            vpi=float(cfg["vpi_v"]),
-            drive_swing=float(cfg["drive_swing"]),
-            mzm_bias_margin=float(cfg["mzm_bias_margin"]),
-            il_fwhm=float(cfg["il_fwhm_ghz"]) * 1e9,
-            il_order=int(cfg["il_order"]),
-            il_fsr=float(cfg["il_fsr_ghz"]) * 1e9,
-            demux_fwhm=float(cfg["demux_fwhm_ghz"]) * 1e9,
-            demux_order=int(cfg["demux_order"]),
-            quantize_bits=None if cfg["quantize_bits"] is None else int(cfg["quantize_bits"]),
-            active_channels=None if active is None else tuple(int(c) for c in active),
-            channel_under_test=(
-                None if cfg["channel_under_test"] is None else int(cfg["channel_under_test"])
-            ),
-        )
         return ScenarioConfig(
-            link=link,
-            net_rate=float(cfg["rate_gbps"]) * 1e9,
-            gap=GapConfig(
-                target_ber=float(cfg["target_ber"]), margin_db=float(cfg["margin_db"])
-            ),
-            min_bits=int(cfg["min_bits"]),
-            min_errors=int(cfg["min_errors"]),
-            loopback=bool(cfg["loopback"]),
-            label=str(cfg["label"]),
+            link=LinkConfig(**fields["link"]), gap=GapConfig(**fields["gap"]), **fields[""]
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Command-line flags supersede config file values."""
-    mapping = {
-        "channels": "n_channels",
-        "rate_gbps": "rate_gbps",
-        "reach_km": "reach_km",
-        "detuning_ghz": "detuning_ghz",
-        "osnr_db": "osnr_db",
-    }
+    """Command-line flags supersede config file values.
+
+    Each override flag stores under its config key; a flag not given keeps
+    the file's value.  A comb size given on the command line lights every
+    slot and tests the middle one.
+    """
+    comb = args.n_channels is not None
     out = dict(cfg)
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    if getattr(args, "loopback", False):
-        out["loopback"] = True
-    if getattr(args, "channels", None) is not None:
-        # a full comb request lights every slot and tests the middle one
-        out["active_channels"] = None
-        out["channel_under_test"] = None
+    for key, (_, _, kind) in _KEYS.items():
+        if getattr(args, key, None) is not None:
+            out[key] = getattr(args, key)
+        elif comb and kind in (_channel, _channels):
+            out[key] = None
     return out
 
 
@@ -198,20 +217,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     if args.out_dir is not None:
         return Path(args.out_dir)
     return Path(os.environ.get(OUT_DIR_ENV, "dmtlink-results"))
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 _SVG_COLORS = ("#1a6fb5", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b", "#008b8b")
@@ -319,31 +324,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"({report.bit_errors}/{report.bits_total} bits)"
         )
     print(f"manifest: {written['manifest']}")
-    target = float(cfg["target_ber"])
-    return 1 if record.worst_ber >= target else 0
+    return 1 if record.worst_ber >= sc.gap.target_ber else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     sc = build_scenario(cfg)
-    target = float(cfg["target_ber"])
+    target = sc.gap.target_ber
     out = _out_dir(args)
     stem = f"sweep_{args.axis}_{scenario_hash(sc)}_s{args.seed}"
+    if not (np.isfinite([args.start, args.stop]).all() and 0 < args.step < np.inf):
+        raise ConfigError(
+            f"a sweep needs a finite --start and --stop and a positive, finite --step, "
+            f"got {args.start:g}, {args.stop:g} and {args.step:g}"
+        )
     values = np.arange(args.start, args.stop + args.step / 2, args.step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
 
     if args.axis == "detuning":
         sweep = sweep_detuning(sc, values * 1e9, seed=args.seed, workers=args.workers)
-        rows = [(float(v), float(b)) for v, b in zip(values, sweep.ber)]
-        _write_csv(out / f"{stem}.csv", ["detuning_ghz", "ber"], rows)
+        write_csv(out / f"{stem}.csv", ["detuning_ghz", "ber"], zip(values, sweep.ber))
         print(f"BER minimum {sweep.ber.min():.3e} at {sweep.argmin_axis / 1e9:g} GHz")
         series = [("BER", values, _log_ber(sweep.ber))]
         labels = ("laser detuning (GHz)", "log10(BER)", "BER vs detuning")
     elif args.axis == "osnr":
         sweep = sweep_osnr(sc, values, seed=args.seed, workers=args.workers)
-        rows = [(float(v), float(b)) for v, b in zip(values, sweep.ber)]
-        _write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], rows)
+        write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], zip(values, sweep.ber))
         crossing = _osnr_crossing(values, sweep.ber, target)
         if crossing is None:
             print(f"no OSNR in range reaches BER {target:.1e}")
@@ -357,11 +364,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sc, values, [det * 1e9 for det in detunings], target_ber=target, seed=args.seed
         )
         header = ["reach_km"] + [f"required_osnr_db_{det:g}ghz" for det in detunings]
-        rows = [
-            tuple([float(v)] + [float(col[i]) for col in columns])
-            for i, v in enumerate(values)
-        ]
-        _write_csv(out / f"{stem}.csv", header, rows)
+        write_csv(out / f"{stem}.csv", header, zip(values, *columns))
         series = [
             (f"detuning {det:g} GHz", values, col)
             for det, col in zip(detunings, columns)
@@ -419,27 +422,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
         workers=args.workers,
         full_comb=args.full_comb,
         scenarios=scenarios,
-        target_ber=float(cfg["target_ber"]),
+        target_ber=base.gap.target_ber,
     )
     out = _out_dir(args)
     csv_rows = []
     for row in rows:
-        csv_rows.append(
-            (
-                row.n_channels,
-                float(row.net_rate / 1e9),
-                float(row.reach_km),
-                float(row.worst_ber),
-                "pass" if row.passes else "fail",
-            )
-        )
+        status = "pass" if row.passes else "fail"
+        csv_rows.append((row.n_channels, row.net_rate / 1e9, row.reach_km, row.worst_ber, status))
         print(
             f"{row.n_channels} x {row.net_rate / 1e9:g} Gb/s @ {row.reach_km:g} km: "
-            f"worst BER {row.worst_ber:.3e} "
-            f"[{'pass' if row.passes else 'fail'}]"
+            f"worst BER {row.worst_ber:.3e} [{status}]"
         )
     stem = f"table_{scenario_hash(base)}_s{args.seed}"
-    _write_csv(
+    write_csv(
         out / f"{stem}.csv",
         ["n_channels", "rate_gbps", "reach_km", "worst_channel_ber", "status"],
         csv_rows,
@@ -467,13 +462,8 @@ def _cmd_fading(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     stem = f"fading_{scenario_hash(sc)}"
-    rows = [
-        (float(f / 1e9), float(a), float(s))
-        for f, a, s in zip(freqs, analytic_db, simulated_db)
-    ]
-    _write_csv(
-        out / f"{stem}.csv", ["frequency_ghz", "analytic_db", "simulated_db"], rows
-    )
+    rows = zip(freqs / 1e9, analytic_db, simulated_db)
+    write_csv(out / f"{stem}.csv", ["frequency_ghz", "analytic_db", "simulated_db"], rows)
     if args.svg:
         _svg_plot(
             out / f"{stem}.svg",
@@ -505,7 +495,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "sweep --axis reach ignores it and runs its searches serially"
         ),
     )
-    parser.add_argument("--channels", type=int, help="comb size override (lights all slots)")
+    parser.add_argument(
+        "--channels",
+        type=int,
+        dest="n_channels",
+        metavar="CHANNELS",
+        help="comb size override (lights all slots)",
+    )
     parser.add_argument("--rate-gbps", type=float, dest="rate_gbps", help="net rate override")
     parser.add_argument("--reach-km", type=float, dest="reach_km", help="fiber reach override")
     parser.add_argument(
@@ -524,7 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one seeded link run")
     _add_common(p_run)
-    p_run.add_argument("--loopback", action="store_true", help="bypass the optical chain")
+    p_run.add_argument(
+        "--loopback", action="store_true", default=None, help="bypass the optical chain"
+    )
     p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="BER / required-OSNR curves over one axis")

@@ -40,7 +40,6 @@ documented 3-channel neighborhood; a flag selects full-comb runs instead).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -91,6 +90,7 @@ __all__ = [
     "sweep_detuning",
     "sweep_osnr",
     "sweep_reach",
+    "write_csv",
 ]
 
 RATES_448G = {4: 112e9, 5: 89.6e9, 6: 74.7e9, 7: 64e9, 8: 56e9}
@@ -132,7 +132,7 @@ class ScenarioConfig:
         When set, the optical chain is bypassed entirely (channel output =
         clipped transmit waveform); used for exactness checks.
     label : str
-        Free-form tag carried into manifests (sweep axis bookkeeping).
+        Free tag, carried into the manifest and the scenario hash.
     """
 
     link: LinkConfig = field(default_factory=LinkConfig)
@@ -782,32 +782,32 @@ def persist_run(record: RunRecord, path) -> dict:
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=repr))
 
-    written = {"manifest": manifest_path}
-
-    ber_path = out / f"{stem}_ber.csv"
-    with ber_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["channel", "bit_errors", "bits_total", "ber"])
-        for ch, rep in sorted(record.reports.items()):
-            writer.writerow([ch, rep.bit_errors, rep.bits_total, repr(rep.ber)])
-    written["ber"] = ber_path
-
+    written = {"manifest": manifest_path, "ber": out / f"{stem}_ber.csv"}
+    write_csv(
+        written["ber"],
+        ["channel", "bit_errors", "bits_total", "ber"],
+        [(ch, r.bit_errors, r.bits_total, r.ber) for ch, r in sorted(record.reports.items())],
+    )
     for ch in sorted(record.reports):
-        snr_path = out / f"{stem}_ch{ch}_snr.csv"
-        with snr_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["subcarrier", "snr_db"])
-            for idx, value in enumerate(record.snr[ch].to_db(), start=1):
-                writer.writerow([idx, repr(float(value))])
-        written[f"snr_ch{ch}"] = snr_path
-
+        written[f"snr_ch{ch}"] = snr = out / f"{stem}_ch{ch}_snr.csv"
+        write_csv(snr, ["subcarrier", "snr_db"], enumerate(record.snr[ch].to_db(), start=1))
         plan = record.plans[ch]
-        load_path = out / f"{stem}_ch{ch}_loading.csv"
-        with load_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["subcarrier", "bits", "power"])
-            for idx, (b, p) in enumerate(zip(plan.bits, plan.powers), start=1):
-                writer.writerow([idx, int(b), repr(float(p))])
-        written[f"loading_ch{ch}"] = load_path
-
+        written[f"loading_ch{ch}"] = loading = out / f"{stem}_ch{ch}_loading.csv"
+        rows = zip(range(1, plan.bits.size + 1), plan.bits.tolist(), plan.powers)
+        write_csv(loading, ["subcarrier", "bits", "power"], rows)
     return written
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a comma-separated table: ``header``, then one line per row.
+
+    Floats are written as ``repr`` (the shortest string that reads back to
+    the same float) and every line ends in ``\\n`` on any platform, so the
+    same rows always give the same bytes.  Cells are not quoted.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        for line in [header, *rows]:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in line)
+            fh.write(",".join(cells) + "\n")

@@ -173,9 +173,8 @@ def schmidl_cox_sync(w: RealWaveform, cfg: DmtConfig) -> SyncResult:
     prod = x[:-half] * x[half:]
     sq = x * x
     p = _sliding_sum(prod, half)
-    e1 = _sliding_sum(sq, half)[:n]
-    e2 = _sliding_sum(sq[half:], half)
-    energy = np.maximum(e1, e2) ** 2
+    e = _sliding_sum(sq, half)  # e[d] and e[d + half]: the two halves' energies
+    energy = np.maximum(e[:n], e[half:]) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = np.where(energy > 0, p * p / np.maximum(energy, 1e-300), 0.0)
 

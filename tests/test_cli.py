@@ -1,10 +1,12 @@
 """Tests for the command-line surface: configs, exit codes, and outputs."""
 
 import ast
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,8 @@ from dmtlink.cli import (
     load_config,
     main,
 )
+from dmtlink.harness import ScenarioConfig, persist_run, run_link, scenario_hash, write_csv
+from dmtlink.loading import GapConfig
 
 FAST_KEYS = {"rate_gbps": 56.0, "min_bits": 200_000, "min_errors": 50}
 
@@ -93,6 +97,267 @@ class TestConfigLoading:
         cfg = load_config(_write_config(tmp_path, n_channels=99))
         with pytest.raises(ConfigError, match="invalid configuration"):
             build_scenario(cfg)
+
+
+# The schema as it stood before the key table: the table must keep it.
+DOCUMENTED_DEFAULTS = {
+    "n_channels": 4,
+    "active_channels": [1],
+    "channel_under_test": 1,
+    "grid_spacing_ghz": 50.0,
+    "detuning_ghz": 19.0,
+    "reach_km": 0.0,
+    "dispersion_ps_nm_km": 17.0,
+    "wavelength_nm": 1550.0,
+    "osnr_db": None,
+    "rx_bandwidth_ghz": 29.4,
+    "rx_sample_rate_gsps": 80.0,
+    "composite_rate_gsps": None,
+    "vpi_v": 2.0,
+    "drive_swing": 0.2,
+    "mzm_bias_margin": 0.01,
+    "il_fwhm_ghz": 44.0,
+    "il_order": 2,
+    "il_fsr_ghz": 100.0,
+    "demux_fwhm_ghz": 44.0,
+    "demux_order": 2,
+    "quantize_bits": None,
+    "rate_gbps": 112.0,
+    "target_ber": 4e-3,
+    "margin_db": 0.0,
+    "min_bits": 1_000_000,
+    "min_errors": 100,
+    "loopback": False,
+    "label": "",
+}
+
+_SINGLE = ScenarioConfig.single_channel()
+
+
+def _link(**fields) -> ScenarioConfig:
+    return replace(_SINGLE, link=replace(_SINGLE.link, **fields))
+
+
+# each key set alone to a value other than its default, and the scenario
+# it must build, written out by hand
+ONE_KEY_SCENARIOS = [
+    ("n_channels", 6, _link(n_channels=6)),
+    ("active_channels", [0, 1, 2], _link(active_channels=(0, 1, 2))),
+    ("active_channels", None, _link(active_channels=None)),
+    ("channel_under_test", None, _link(channel_under_test=None)),
+    ("grid_spacing_ghz", 37.5, _link(grid_spacing=37.5e9)),
+    ("detuning_ghz", 12.5, _link(detuning=12.5e9)),
+    ("reach_km", 80.0, _link(span_lengths_km=(80.0,))),
+    ("dispersion_ps_nm_km", 16.5, _link(dispersion_ps_nm_km=16.5)),
+    ("wavelength_nm", 1310.0, _link(center_wavelength_nm=1310.0)),
+    ("osnr_db", 30.5, _link(osnr_db=30.5)),
+    ("rx_bandwidth_ghz", 25.0, _link(rx_bandwidth=25e9)),
+    ("rx_sample_rate_gsps", 96.0, _link(rx_sample_rate=96e9)),
+    ("composite_rate_gsps", 512.0, _link(composite_rate=512e9)),
+    ("vpi_v", 3.5, _link(vpi=3.5)),
+    ("drive_swing", 0.25, _link(drive_swing=0.25)),
+    ("mzm_bias_margin", 0.05, _link(mzm_bias_margin=0.05)),
+    ("il_fwhm_ghz", 40.0, _link(il_fwhm=40e9)),
+    ("il_order", 3, _link(il_order=3)),
+    ("il_fsr_ghz", 200.0, _link(il_fsr=200e9)),
+    ("demux_fwhm_ghz", 36.0, _link(demux_fwhm=36e9)),
+    ("demux_order", 4, _link(demux_order=4)),
+    ("quantize_bits", 8, _link(quantize_bits=8)),
+    ("rate_gbps", 56.0, replace(_SINGLE, net_rate=56e9)),
+    ("target_ber", 1e-3, replace(_SINGLE, gap=GapConfig(target_ber=1e-3))),
+    ("margin_db", 1.5, replace(_SINGLE, gap=GapConfig(margin_db=1.5))),
+    ("min_bits", 250_000, replace(_SINGLE, min_bits=250_000)),
+    ("min_errors", 50, replace(_SINGLE, min_errors=50)),
+    ("loopback", True, replace(_SINGLE, loopback=True)),
+    ("label", "probe", replace(_SINGLE, label="probe")),
+]
+
+
+class TestConfigMapping:
+    """The config schema and the scenario each key builds."""
+
+    def test_defaults_are_the_documented_schema(self):
+        assert DEFAULT_CONFIG == DOCUMENTED_DEFAULTS
+        assert list(DEFAULT_CONFIG) == list(DOCUMENTED_DEFAULTS)
+
+    def test_defaults_build_the_single_channel_scenario(self):
+        sc = build_scenario(dict(DEFAULT_CONFIG))
+        assert sc == _SINGLE
+        assert scenario_hash(sc) == scenario_hash(_SINGLE)
+
+    def test_every_key_is_covered(self):
+        assert {key for key, _, _ in ONE_KEY_SCENARIOS} == set(DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize(
+        "key, value, expected", ONE_KEY_SCENARIOS, ids=[f"{k}={v}" for k, v, _ in ONE_KEY_SCENARIOS]
+    )
+    def test_one_key_builds_its_field(self, tmp_path, key, value, expected):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({key: value}))
+        sc = build_scenario(load_config(str(path)))
+        assert sc == expected
+        assert scenario_hash(sc) == scenario_hash(expected)
+
+    def test_gap_follows_target_ber(self):
+        """The SNR gap is derived anew from the configured target BER."""
+        sc = build_scenario(dict(DEFAULT_CONFIG, target_ber=1e-3))
+        assert sc.gap.gap_linear == GapConfig(target_ber=1e-3).gap_linear
+        assert sc.gap.gap_linear > _SINGLE.gap.gap_linear
+
+    def test_readme_lists_every_key(self):
+        readme = Path(dmtlink.cli.__file__).resolve().parents[2] / "README.md"
+        rows = [line for line in readme.read_text().splitlines() if line.startswith("| `")]
+        assert [row.split("`")[1] for row in rows] == list(DEFAULT_CONFIG)
+
+
+class TestConfigKinds:
+    """Values are taken by their key's kind, never coerced."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("loopback", "false"),
+            ("loopback", 1),
+            ("n_channels", 4.7),
+            ("n_channels", "4"),
+            ("n_channels", True),
+            ("il_order", 2.5),
+            ("demux_order", 2.5),
+            ("quantize_bits", 7.5),
+            ("min_bits", 1e5 + 0.5),
+            ("min_errors", 99.9),
+            ("channel_under_test", 1.5),
+            ("active_channels", [0, 1.5]),
+            ("active_channels", "1"),
+            ("osnr_db", float("nan")),
+            ("osnr_db", "nan"),
+            ("osnr_db", float("-inf")),
+            ("osnr_db", True),
+            ("reach_km", -5),
+            ("reach_km", float("inf")),
+            ("detuning_ghz", float("nan")),
+            ("detuning_ghz", 10**400),
+            ("rate_gbps", "56"),
+            ("composite_rate_gsps", float("inf")),
+            ("target_ber", None),
+            ("label", 5),
+        ],
+    )
+    def test_wrong_kind_is_config_error_naming_the_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            build_scenario(load_config(str(path)))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, key", [("--osnr-db=nan", "osnr_db"), ("--osnr-db=-inf", "osnr_db"),
+                      ("--reach-km=-5", "reach_km")]
+    )
+    def test_wrong_kind_flag_exits_2(self, tmp_path, capsys, flag, key):
+        assert main(["run", flag, "--out-dir", str(tmp_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_integral_number_loads_as_int(self):
+        sc = build_scenario(dict(DEFAULT_CONFIG, n_channels=6.0, min_bits=2e5))
+        assert sc.link.n_channels == 6 and isinstance(sc.link.n_channels, int)
+        assert sc.min_bits == 200_000 and isinstance(sc.min_bits, int)
+
+    @pytest.mark.parametrize("osnr", [None, float("inf")])
+    def test_null_and_inf_osnr_are_noiseless(self, osnr):
+        assert build_scenario(dict(DEFAULT_CONFIG, osnr_db=osnr)) == _SINGLE
+
+
+class TestOverrides:
+    """Flags given on the command line, and flags left out."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The scenario ``run`` would execute, captured before any work."""
+        scenarios = []
+
+        def capture(sc, seed, channels=None):
+            scenarios.append(sc)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(dmtlink.cli, "run_link", capture)
+
+        def build(tmp_path, argv, **file_keys):
+            path = tmp_path / "file.json"
+            path.write_text(json.dumps(file_keys))
+            assert main(["run", "--config", str(path), *argv]) == 2
+            return scenarios.pop()
+
+        return build
+
+    def test_absent_flags_keep_the_file(self, tmp_path, built):
+        sc = built(tmp_path, [], loopback=True, osnr_db=30.0, reach_km=40.0)
+        assert sc == replace(_link(osnr_db=30.0, span_lengths_km=(40.0,)), loopback=True)
+
+    def test_given_flags_supersede_the_file(self, tmp_path, built):
+        argv = ["--osnr-db", "25", "--reach-km", "80", "--detuning-ghz", "14.25"]
+        sc = built(tmp_path, argv + ["--rate-gbps", "56", "--loopback"], osnr_db=30.0)
+        expected = _link(osnr_db=25.0, span_lengths_km=(80.0,), detuning=14.25e9)
+        assert sc == replace(expected, net_rate=56e9, loopback=True)
+
+    def test_channels_flag_lights_the_full_comb(self, tmp_path, built):
+        sc = built(tmp_path, ["--channels", "6"], active_channels=[0], channel_under_test=0)
+        assert sc == _link(n_channels=6, active_channels=None, channel_under_test=None)
+        assert sc.link.lit_channels == tuple(range(6)) and sc.link.cut_index == 3
+
+
+class TestCsvBytes:
+    """The one CSV writer keeps every table's bytes."""
+
+    @staticmethod
+    def _reference_bytes(path: Path, header, rows) -> bytes:
+        """``csv.writer`` with floats written as ``repr``, as ``persist_run`` once did."""
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        return path.read_bytes()
+
+    def test_write_csv_matches_csv_writer(self, tmp_path):
+        rows = [(1, 0.1, np.float64(1e-300), np.int64(3), "pass"), (2, -0.0, 1e22, 7, "fail")]
+        header = ["a", "b", "c", "d", "status"]
+        write_csv(tmp_path / "sub" / "t.csv", header, rows)
+        got = (tmp_path / "sub" / "t.csv").read_bytes()
+        assert got == self._reference_bytes(tmp_path / "ref.csv", header, rows)
+        assert got.splitlines()[1] == b"1,0.1,1e-300,3,pass"
+
+    def test_persist_run_tables(self, tmp_path):
+        sc = replace(_SINGLE, net_rate=56e9, min_bits=200_000, loopback=True)
+        record = run_link(sc, seed=3)
+        written = persist_run(record, tmp_path)
+        (ch,) = record.reports
+        rep, plan = record.reports[ch], record.plans[ch]
+        tables = {
+            "ber": (
+                ["channel", "bit_errors", "bits_total", "ber"],
+                [(ch, rep.bit_errors, rep.bits_total, rep.ber)],
+            ),
+            f"snr_ch{ch}": (
+                ["subcarrier", "snr_db"],
+                list(enumerate(record.snr[ch].to_db().tolist(), start=1)),
+            ),
+            f"loading_ch{ch}": (
+                ["subcarrier", "bits", "power"],
+                [(i, int(b), float(p)) for i, (b, p) in enumerate(zip(plan.bits, plan.powers), 1)],
+            ),
+        }
+        for name, (header, rows) in tables.items():
+            expected = self._reference_bytes(tmp_path / "ref.csv", header, rows)
+            assert written[name].read_bytes() == expected, name
+
+    def test_sweep_table(self, tmp_path):
+        cfg = _write_config(tmp_path, loopback=True)
+        argv = ["sweep", "--config", cfg, "--axis", "detuning", "--start", "14", "--stop", "19"]
+        assert main(argv + ["--step", "5", "--out-dir", str(tmp_path)]) == 0
+        (csv_path,) = tmp_path.glob("sweep_detuning_*.csv")
+        assert csv_path.read_bytes() == b"detuning_ghz,ber\n14.0,0.0\n19.0,0.0\n"
 
 
 class TestRunCommand:
@@ -336,6 +601,19 @@ class TestSweepCommand:
         # 29 dB cannot carry the rate: recorded as BER 1, not a crash
         assert lines[1] == "29.0,1.0"
         assert float(lines[2].split(",")[1]) < 4e-3
+
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [("0", "10", "0"), ("0", "10", "nan"), ("0", "10", "-5"), ("nan", "10", "5"),
+         ("0", "inf", "5"), ("0", "10", "inf")],
+    )
+    def test_bad_range_exits_2(self, tmp_path, capsys, start, stop, step):
+        """A step that is not positive and finite, or a non-finite end, is a config error."""
+        argv = ["sweep", "--axis", "osnr", "--start", start, "--stop", stop, "--step", step]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "--step" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTableCommand:
