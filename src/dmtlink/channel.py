@@ -1,11 +1,12 @@
 """Linear optical channel: modulator, WDM grid, filters, fiber, noise, receiver.
 
 A link run uses ``optical_span``, one frequency-domain pass from modulator
-to receiver; its OSNR noise is drawn directly as a spectrum, over the bins
-a receiver passes, and each receiver detects on a grid that holds only its
-own passband.  ``end_to_end_fading_profile`` probes the same pieces
-(the modulator transfer, the dispersion phase and the filter responses)
-with one tone at a time.
+to receiver in two steps: ``compose`` sums the launched comb after
+dispersion, and ``receive`` adds the OSNR noise, drawn directly as a
+spectrum over the bins a receiver passes, and detects each receiver on a
+grid that holds only its own passband.  ``end_to_end_fading_profile``
+probes the same pieces (the modulator transfer, the dispersion phase and
+the filter responses) with one tone at a time.
 
 Sign conventions, documented once here:
 
@@ -35,8 +36,11 @@ __all__ = [
     "FilterSpec",
     "LinkConfig",
     "SPEED_OF_LIGHT",
+    "compose",
     "end_to_end_fading_profile",
+    "noise_draws",
     "optical_span",
+    "receive",
     "rx_frontend",
 ]
 
@@ -279,6 +283,7 @@ def _add_osnr_noise(
     osnr_db: float,
     power: float,
     seed: int,
+    draws: np.ndarray | None = None,
 ) -> None:
     """Add, in place, the spectrum of white noise putting a signal of ``power`` at ``osnr_db``.
 
@@ -286,22 +291,33 @@ def _add_osnr_noise(
     circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
     so the spectrum is drawn directly, with no transform.  It is drawn only
     over ``band``, ``[start, stop)`` bin ranges in ascending order: one
-    ``standard_normal(2 * m)`` for its ``m`` bins, the first ``m`` values
-    the real parts and the next ``m`` the imaginary parts.
+    ``standard_normal(2 * m)`` at ``seed`` for its ``m`` bins, the first
+    ``m`` values the real parts and the next ``m`` the imaginary parts.
+    Each bin then gains its unit draw times ``sqrt(n) * sigma``, the only
+    factor that depends on the OSNR and the power.  ``draws``, when given,
+    is that draw made once (``_unit_draws``) by a caller that adds the same
+    noise at several OSNRs; it is read, not changed.
     """
     if power <= 0:
         raise ValueError("cannot set a finite OSNR on a zero-power field")
     psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
     sigma = np.sqrt(psd * sample_rate / 2.0)
-    m = int(np.sum(band[:, 1] - band[:, 0]))
-    draws = np.random.default_rng(seed).standard_normal(2 * m)
-    draws *= np.sqrt(spectrum.size) * sigma
+    if draws is None:
+        draws = _unit_draws(band, seed)
+    scale = np.sqrt(spectrum.size) * sigma
+    m = draws.size // 2
     at = 0
     for start, stop in band:
         width = stop - start
-        spectrum.real[start:stop] += draws[at : at + width]
-        spectrum.imag[start:stop] += draws[m + at : m + at + width]
+        spectrum.real[start:stop] += draws[at : at + width] * scale
+        spectrum.imag[start:stop] += draws[m + at : m + at + width] * scale
         at += width
+
+
+def _unit_draws(band: np.ndarray, seed: int) -> np.ndarray:
+    """The unit normal draws of the noise over ``band``: ``standard_normal(2 * m)``."""
+    m = int(np.sum(band[:, 1] - band[:, 0]))
+    return np.random.default_rng(seed).standard_normal(2 * m)
 
 
 def _mean_power(spectrum: np.ndarray) -> float:
@@ -506,21 +522,10 @@ def optical_span(
     """Carry one frame from the modulator drives to each receiver's capture.
 
     Between the modulator and the photodiode, the only nonlinear steps, the
-    span is linear and diagonal in frequency over one circular frame.  So
-    each channel's field is transformed once, shaped by its interleaver
-    port and moved onto its laser by a whole-bin shift; the sum takes the
-    dispersion phase and the noise, drawn directly as its spectrum over the
-    bins some receiver passes above float64's epsilon.  Each receiver takes
-    the circular run of ``W`` bins its ports pass above that epsilon,
-    applies both ports in one product and lays the run onto a detection
-    grid of ``L`` bins, the smallest 2-3-5-smooth length of at least
-    ``W + K``, where ``K`` is the number of bins the capture keeps (at
-    least ``2K`` for a band narrower than the capture, and at most the
-    frame).  It transforms back, detects and transforms forward on
-    that grid.  A bin-to-position map that is one shift modulo ``L`` leaves
-    ``|E|^2`` unchanged, and with ``L >= W + K`` no beat between passed
-    bins aliases onto a kept bin, so this is detection on the whole frame,
-    to rounding, at about 0.7 of its transform length.  The dispersion
+    span is linear and diagonal in frequency over one circular frame, so it
+    runs in two steps on one composite spectrum: ``compose`` launches each
+    channel and sums the comb after dispersion, and ``receive`` adds the
+    noise and detects each receiver on its own passband.  The dispersion
     factor, the receive ports and each receive set's noise band are built
     the first time a link needs them and kept, read-only, for the most
     recent link.
@@ -546,18 +551,34 @@ def optical_span(
     dict
         Receive channel -> front-end capture at ``link.rx_sample_rate``.
     """
+    rx_channels = list(rx_channels)
+    composite, cut_power = compose(link, drives, rx_channels, occupied_bandwidth)
+    return receive(link, composite, cut_power, rx_channels, noise_seed)
+
+
+def compose(
+    link: LinkConfig, drives: dict, rx_channels, occupied_bandwidth: float
+) -> tuple[np.ndarray, float | None]:
+    """Launch, multiplex and disperse one frame: the span's noiseless composite.
+
+    Each channel's field is transformed once, shaped by its interleaver
+    port and moved onto its laser by a whole-bin shift; the sum takes the
+    dispersion phase.  ``rx_channels`` names the receivers whose ports a
+    link's first frame builds, before any of the frame's own grid-sized
+    arrays exists.  The other arguments are those of ``optical_span``.
+
+    Returns ``(composite, cut_power)``: the full two-sided spectrum of the
+    comb at the receiver, before noise, and the launch power of the channel
+    under test (``None`` when that channel is dark).
+    """
     rate = link.grid_rate
     n = next(iter(drives.values())).samples.size
     if any(d.sample_rate != rate or d.samples.size != n for d in drives.values()):
         raise ValueError("every drive must be one frame of equal length at the grid rate")
     duration = n / rate
-    rx_channels = list(rx_channels)
-    # a cold build runs before the frame's own grid-sized arrays exist
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
-    ports = [operators.receive_port(ch) for ch in rx_channels]
-    windows = [operators.receive_window(ch) for ch in rx_channels]
-    noisy = np.isfinite(link.osnr_db)
-    band = operators.noise_band(rx_channels) if noisy else None
+    for ch in rx_channels:  # a cold build runs before the frame's grid-sized arrays exist
+        operators.receive_window(ch)
     freq = _grid_frequencies(n, rate)
     composite = np.zeros(n, dtype=np.complex128)
     cut_power = None
@@ -569,19 +590,70 @@ def optical_span(
         del spectrum  # one launched spectrum alive at a time
     del freq
     operators.disperse(composite)
-    if noisy:
+    return composite, cut_power
+
+
+def noise_draws(link: LinkConfig, n: int, rx_channels, noise_seed: int) -> np.ndarray:
+    """The unit draws of the noise ``receive`` adds at ``noise_seed``.
+
+    They span the noise band of ``rx_channels`` on the ``n``-bin grid and
+    do not depend on the OSNR, so one draw serves a composite received at
+    several OSNRs.
+    """
+    band = _span_operators(replace(link, osnr_db=np.inf), n).noise_band(rx_channels)
+    return _unit_draws(band, noise_seed)
+
+
+def receive(
+    link: LinkConfig,
+    composite: np.ndarray,
+    cut_power: float | None,
+    rx_channels,
+    noise_seed: int,
+    draws: np.ndarray | None = None,
+) -> dict:
+    """Add the OSNR noise to ``compose``'s composite and capture each receiver.
+
+    The noise is drawn directly as its spectrum, over the bins some receiver
+    passes above float64's epsilon (``_add_osnr_noise``), and refers to
+    ``cut_power``, or to the composite's power when that is ``None``.
+    ``draws`` (from ``noise_draws`` at ``noise_seed``) stands in for drawing
+    the noise anew, to the same bits.  Each receiver takes the circular run
+    of ``W`` bins its ports pass above that epsilon, applies both ports in
+    one product and lays the run onto a detection grid of ``L`` bins, the
+    smallest 2-3-5-smooth length of at least ``W + K``, where ``K`` is the
+    number of bins the capture keeps (at least ``2K`` for a band narrower
+    than the capture, and at most the frame).  It transforms back, detects
+    and transforms forward on that grid.  A bin-to-position map that is one
+    shift modulo ``L`` leaves ``|E|^2`` unchanged, and with ``L >= W + K``
+    no beat between passed bins aliases onto a kept bin, so this is
+    detection on the whole frame, to rounding, at about 0.7 of its
+    transform length.
+
+    Works in place: the noise lands in ``composite`` and the last receiver
+    detects in its buffer, so a caller receiving one composite at several
+    OSNRs passes a copy each time.  Returns receive channel -> front-end
+    capture at ``link.rx_sample_rate``.
+    """
+    rate = link.grid_rate
+    n = composite.size
+    rx_channels = list(rx_channels)
+    operators = _span_operators(replace(link, osnr_db=np.inf), n)
+    if np.isfinite(link.osnr_db):
         power = _mean_power(composite) if cut_power is None else cut_power
-        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed)
+        band = operators.noise_band(rx_channels)
+        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed, draws)
 
     kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
     captures = {}
-    for i, (ch, port, (start, width)) in enumerate(zip(rx_channels, ports, windows)):
+    for i, ch in enumerate(rx_channels):
+        start, width = operators.receive_window(ch)
         size = min(_smooth_length(max(width, kept) + kept), n)
         if i + 1 < len(rx_channels):
             field = np.empty(size, dtype=np.complex128)
         else:  # the last receiver works in the composite's own buffer
             field = composite[:size]
-        _lay_window(field, composite, port, start, width)
+        _lay_window(field, composite, operators.receive_port(ch), start, width)
         detected = np.abs(np.fft.ifft(field, out=field))
         del field
         # square-law detection, |E|^2 with unit responsivity
