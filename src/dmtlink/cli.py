@@ -341,6 +341,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = np.arange(args.start, args.stop + args.step / 2, args.step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
+    if args.axis == "reach" and values.min() < 0:
+        raise ConfigError(f"--axis reach needs reaches >= 0 km, got {values.min():g} km")
 
     if args.axis == "detuning":
         sweep = sweep_detuning(sc, values * 1e9, seed=args.seed, workers=args.workers)

@@ -615,6 +615,18 @@ class TestSweepCommand:
         assert "--step" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("start, stop", [("-50", "-50"), ("-50", "50")])
+    def test_negative_reach_exits_2(self, tmp_path, capsys, start, stop):
+        """A negative reach is a config error naming the axis, not back to back."""
+        config = tmp_path / "loopback.json"
+        config.write_text(json.dumps({"loopback": True}))
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", "reach", "--start", start, "--stop", stop, "--step", "50",
+                "--config", str(config), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "--axis reach" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTableCommand:
     """The ``table`` subcommand: filtering, pass/fail, exit codes."""
