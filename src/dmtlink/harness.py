@@ -3,8 +3,9 @@
 Ties the transmit DSP, the loading engine, the optical channel, and the
 receive DSP into seeded, reproducible experiments: single link runs with the
 train-then-measure two-pass structure (probe, load, count), the
-required-OSNR search (bisected on the probe pass, with BER counted once at
-the edge it finds), detuning sweeps, and the rate/reach/channel-count
+required-OSNR search (bisected on one probe frame composed once and
+received at each OSNR, with BER counted once at the edge it finds),
+detuning sweeps, and the rate/reach/channel-count
 table, with CSV/JSON persistence and a process pool for independent sweep
 points.
 
@@ -51,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import LinkConfig, SPEED_OF_LIGHT, optical_span
+from .channel import LinkConfig, SPEED_OF_LIGHT, compose, noise_draws, optical_span, receive
 from .core import (
     DmtConfig,
     InfeasibleRateError,
@@ -289,7 +290,9 @@ def _with_context(exc, context: str):
     return type(exc)(f"{context}: {exc.args[0] if exc.args else exc}")
 
 
-def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels, timing):
+def _transmit_once(
+    sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels, timing, held=None
+):
     """Run one frame through the chain and demodulate ``rx_channels``.
 
     ``plans`` maps every lit channel to its SubcarrierPlan; ``stage``
@@ -297,32 +300,47 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
     ``timing`` maps each channel to the ``SyncResult`` its frames are
     demodulated at; a channel missing from it is first synchronized on this
     capture (the probe pass fills it, payload frames only read it).
+    ``held``, a dict, lets calls that differ only in the OSNR share one
+    frame: the first call keeps its frames, its noiseless composite and its
+    unit noise draws there, and every later call only receives a copy of
+    that composite at its own OSNR, to the same bits as a frame sent anew.
     Returns ``{channel: (tx_symbols, tx_bits, demodulated)}``: the frame's
     transmitted subcarrier values (training rows first), its payload bits,
     and the received ``DemodulatedFrame``.
     """
     link, dmt = sc.link, sc.dmt
-
-    frames = {}
-    for ch in link.lit_channels:
-        payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
-        payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
-        # training symbols are fixed across stages
-        frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
+    noise_seed = _seed_int(seed, stage, 303)
+    if held:  # composed by an earlier call that shares this frame
+        frames = held["frames"]
+    else:
+        frames = {}
+        for ch in link.lit_channels:
+            payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
+            payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
+            # training symbols are fixed across stages
+            frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
 
     if sc.loopback:
         captures = {ch: clip(frames[ch].waveform, dmt.clipping_ratio_db) for ch in rx_channels}
     else:
-        drives = {
-            ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
-            for ch, frame in frames.items()
-        }
-        # The modulated content spans the DAC Nyquist band around each laser
-        # (the drive was upsampled before the modulator, so there is headroom
-        # for its weak harmonics but the occupied band is still the DAC's).
-        rx = optical_span(
-            link, drives, rx_channels, _seed_int(seed, stage, 303), occupied_bandwidth=dmt.dac_rate
-        )
+        if not held:
+            drives = {
+                ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
+                for ch, frame in frames.items()
+            }
+            # The modulated content spans the DAC Nyquist band around each laser
+            # (the drive was upsampled before the modulator, so there is headroom
+            # for its weak harmonics but the occupied band is still the DAC's).
+            if held is None:
+                rx = optical_span(link, drives, rx_channels, noise_seed, dmt.dac_rate)
+            else:  # the first call sharing the frame composes it
+                composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
+                del drives
+                draws = noise_draws(link, composite.size, rx_channels, noise_seed)
+                held.update(frames=frames, composite=composite, cut_power=cut_power, draws=draws)
+        if held:  # a copy, since receiving consumes the composite
+            composite, cut_power, draws = held["composite"], held["cut_power"], held["draws"]
+            rx = receive(link, composite.copy(), cut_power, rx_channels, noise_seed, draws)
         captures = {ch: resample(sqrt_linearize(rx.pop(ch)), dmt.dac_rate) for ch in rx_channels}
 
     received = {}
@@ -338,18 +356,19 @@ def _transmit_once(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_ch
     return received
 
 
-def _probe(sc: ScenarioConfig, seed: int):
+def _probe(sc: ScenarioConfig, seed: int, held=None):
     """Probe pass: sync each lit channel once and estimate its SNR profile.
 
     Returns ``(snr, timing)`` keyed by lit channel; every later frame of a
-    channel is demodulated at its ``timing``.
+    channel is demodulated at its ``timing``.  ``held`` is passed on to
+    ``_transmit_once``.
     """
     dmt = sc.dmt
     lit = sc.link.lit_channels
     probe_plan = SubcarrierPlan.uniform(dmt.n_data_subcarriers, bits=2)
     timing = {}
     try:
-        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing)
+        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing, held)
     except SyncNotFoundError as exc:
         raise _with_context(exc, f"scenario {scenario_hash(sc)} probe pass") from exc
     snr = {}
@@ -395,9 +414,9 @@ def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -
     return reports
 
 
-def _train(sc: ScenarioConfig, seed: int):
+def _train(sc: ScenarioConfig, seed: int, held=None):
     """Probe and load: ``(plans, timing)`` of every lit channel."""
-    snr, timing = _probe(sc, seed)
+    snr, timing = _probe(sc, seed, held)
     return _load(sc, snr), timing
 
 
@@ -489,12 +508,14 @@ def _pool_map(tasks, workers):
 
 
 def _osnr_point(sc: ScenarioConfig, osnr_db: float, seed: int):
-    """Scenario and run seed of one OSNR point, for sweep and search alike."""
-    osnr_db = float(osnr_db)
-    return (
-        replace(sc, link=replace(sc.link, osnr_db=osnr_db)),
-        _seed_int(seed, 404, round(osnr_db * 1e6)),
-    )
+    """Scenario and run seed of one OSNR point, for sweep and search alike.
+
+    The run seed does not depend on the OSNR, so the points of one search
+    or sweep share their payload, training symbols and noise draws, and
+    differ only in the noise scale sigma(x) the OSNR sets (common random
+    numbers).
+    """
+    return replace(sc, link=replace(sc.link, osnr_db=float(osnr_db))), _seed_int(seed, 404)
 
 
 def _bisect(lo: float, hi: float, passes, tol_db: float):
@@ -519,15 +540,20 @@ def required_osnr(
 
     Each point is the operating point ``sweep_osnr`` evaluates at that OSNR
     and seed; its loading adapts to the point, as in a trained
-    transceiver.  The bisection is steered by the probe pass alone: a point
-    passes when its rate loads (timing found, Chow loading feasible), which
-    costs one frame.  The bottom of the bracket is probed only when the
-    final bracket still touches it.  The BER is then counted once, at the
-    passing end of the final bracket, continuing from that point's own
-    probe (its plans and timing; no second probe frame).  If that count
-    misses the target, the top of the bracket is counted, and the search
-    bisects on counted BER between the two, with a point that cannot
-    operate counting as BER 1.
+    transceiver.  The points share one run seed (``_osnr_point``), so they
+    share payload, training symbols and noise draws, and differ only in the
+    noise scale sigma(x) the OSNR sets.  The bisection is steered by the
+    probe pass alone: a point passes when its rate loads (timing found,
+    Chow loading feasible).  The probe frame is transmitted and composed
+    once, by the first point; each point then only receives that composite
+    plus sigma(x) times the shared unit noise draws, and runs the RX DSP
+    and loading.  The bottom of the bracket is probed only when the final
+    bracket still touches it.  The composition is released, and the BER
+    counted once, at the passing end of the final bracket, continuing from
+    that point's own probe (its plans and timing; no second probe frame).
+    If that count misses the target, the top of the bracket is counted, and
+    the search bisects on counted BER between the two, with a point that
+    cannot operate counting as BER 1.
 
     Returns a point whose BER was counted below the target: the bottom of
     the bracket, or a point within ``tol_db`` above one seen to fail.
@@ -549,11 +575,12 @@ def required_osnr(
 
     cut = sc.link.cut_index
     trained, ber = {}, {}
+    held = {}  # the probe frame its points share, composed by the first
 
     def loads(osnr_db: float) -> bool:
         if osnr_db not in trained:
             point = _osnr_point(sc, osnr_db, seed)
-            trained[osnr_db] = (point, _operable(_train, *point))
+            trained[osnr_db] = (point, _operable(_train, *point, held))
         return trained[osnr_db][1] is not None
 
     def passes(osnr_db: float) -> bool:
@@ -568,6 +595,7 @@ def required_osnr(
         raise InfeasibleOsnrError(f"the link cannot operate at {top:.1f} dB OSNR")
     lo, hi = _bisect(bottom, top, loads, tol_db)
     edge = lo if lo == bottom and loads(lo) else hi
+    held = None  # released before any payload frame; later probes compose anew
     if passes(edge):
         return edge
     if not passes(top):
@@ -584,8 +612,12 @@ def sweep_osnr(
 
     Each point has the scenario and seed that ``required_osnr`` gives the
     same OSNR, so a sweep point and a search point at the same OSNR and
-    seed load the same plan and count the same BER.  A point where the link
-    cannot operate counts as BER 1 (see ``evaluate_point``).
+    seed load the same plan and count the same BER.  The points share one
+    run seed: their payload, training symbols and noise draws are the same,
+    and only the noise scale sigma(x) differs, so a sweep's points are not
+    independent samples.  Each point still composes its own frames.  A
+    point where the link cannot operate counts as BER 1 (see
+    ``evaluate_point``).
     """
     osnrs = np.asarray(list(osnrs), dtype=np.float64)
     tasks = [(*_osnr_point(sc, v, seed), None) for v in osnrs]

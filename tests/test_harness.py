@@ -2,12 +2,16 @@
 
 import json
 import math
+import multiprocessing
+import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dmtlink.channel as channel_mod
 import dmtlink.harness as harness_mod
 from dmtlink import _spectral
 from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile, optical_span
@@ -462,7 +466,7 @@ class TestSearchPolicy:
     def _stand_in(monkeypatch, loads_db, passes_db):
         probed, counted = [], []
 
-        def train(sc, seed):
+        def train(sc, seed, held):
             probed.append(sc.link.osnr_db)
             if sc.link.osnr_db < loads_db:
                 raise InfeasibleRateError("rate does not load")
@@ -501,6 +505,111 @@ class TestSearchPolicy:
             required_osnr(_fast_optical())
         assert probed == [50.0]
         assert counted == []
+
+
+class TestSharedProbe:
+    """A search composes its probe frame once; each point only receives it."""
+
+    @staticmethod
+    def _scenario(lit=(1,)):
+        sc = _search_scenario(19e9)
+        return replace(sc, link=replace(sc.link, active_channels=lit))
+
+    def test_each_point_captures_what_the_span_gives(self, monkeypatch):
+        """Every point's probe captures equal ``optical_span`` on the same
+        drives, OSNR and noise seed, bit for bit."""
+        composed, received = [], []
+        compose, receive = harness_mod.compose, harness_mod.receive
+
+        def recorded_compose(link, drives, *args):
+            composed.append(drives)
+            return compose(link, drives, *args)
+
+        def recorded_receive(link, composite, cut_power, rx_channels, noise_seed, *args):
+            captures = receive(link, composite, cut_power, rx_channels, noise_seed, *args)
+            received.append((link, list(rx_channels), noise_seed, dict(captures)))
+            return captures
+
+        monkeypatch.setattr(harness_mod, "compose", recorded_compose)
+        monkeypatch.setattr(harness_mod, "receive", recorded_receive)
+        sc = self._scenario()
+        required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=1)
+        assert len(composed) == 1
+        assert len(received) == 1 + _probe_steps()
+        assert len({link.osnr_db for link, *_ in received}) == len(received)
+        for link, rx, noise_seed, captures in received:
+            want = optical_span(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)
+            for ch in rx:
+                assert np.array_equal(captures[ch].samples, want[ch].samples), link.osnr_db
+
+    @pytest.mark.parametrize("lit", [(1,), (1, 2)])
+    def test_each_lit_channel_launches_once_for_the_probes(self, monkeypatch, lit):
+        """One launch per lit channel for all the probes, then one per payload frame."""
+        launched, stages = [], []
+        launch, transmit = channel_mod._launch, harness_mod._transmit_once
+
+        def counted(link, channel, *args):
+            launched.append(channel)
+            return launch(link, channel, *args)
+
+        def recorded(sc, plans, stage, *args):
+            stages.append(stage)
+            return transmit(sc, plans, stage, *args)
+
+        monkeypatch.setattr(channel_mod, "_launch", counted)
+        monkeypatch.setattr(harness_mod, "_transmit_once", recorded)
+        required_osnr(self._scenario(lit), tol_db=SEARCH_TOL_DB, seed=2)
+        payload_frames = sum(stage > 0 for stage in stages)
+        assert stages.count(0) > 1 and payload_frames >= 1
+        assert sorted(launched) == sorted(list(lit) * (1 + payload_frames))
+
+    def test_composition_released_before_the_count(self, monkeypatch):
+        """No payload frame runs while the probe's composite is held."""
+        kept, alive_at_count = [], []
+        compose, count = harness_mod.compose, harness_mod._count
+
+        def recorded_compose(*args):
+            composite, cut_power = compose(*args)
+            kept.append(weakref.ref(composite))
+            return composite, cut_power
+
+        def recorded_count(*args):
+            alive_at_count.append([ref() is not None for ref in kept])
+            return count(*args)
+
+        monkeypatch.setattr(harness_mod, "compose", recorded_compose)
+        monkeypatch.setattr(harness_mod, "_count", recorded_count)
+        required_osnr(self._scenario(), tol_db=SEARCH_TOL_DB, seed=3)
+        assert alive_at_count == [[False]]
+
+
+def _verdict_map(point):
+    """One search's result, and whether the rate loads on a 0.125 dB grid
+    of +-1 dB around it, at the search's seed."""
+    det, seed = point
+    sc = _search_scenario(det)
+    value = required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=seed)
+    held = {}
+    verdicts = [
+        harness_mod._operable(harness_mod._train, *harness_mod._osnr_point(sc, x, seed), held)
+        is not None
+        for x in value + np.arange(-8, 9) * 0.125
+    ]
+    return value, verdicts
+
+
+class TestMonotoneVerdict:
+    def test_verdict_is_monotone_around_each_search(self):
+        """With the points of a search sharing their draws, more OSNR never
+        turns a point that loads into one that does not, near any of the six
+        searches of ``TestProbeSteeredSearch``."""
+        points = [(det, seed) for det in SEARCH_DETUNINGS for seed in SEARCH_SEEDS]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            maps = dict(zip(points, pool.map(_verdict_map, points)))
+        for point, (value, verdicts) in maps.items():
+            assert verdicts[8], (point, value)  # the result itself loads
+            assert verdicts == sorted(verdicts), (point, value, verdicts)
 
 
 class TestSweepDetuning:
