@@ -5,9 +5,8 @@ receive DSP into seeded, reproducible experiments: single link runs with the
 train-then-measure two-pass structure (probe, load, count), the
 required-OSNR search (bisected on one probe frame composed once and
 received at each OSNR, with BER counted once at the edge it finds),
-detuning sweeps, and the rate/reach/channel-count
-table, with CSV/JSON persistence and a process pool for independent sweep
-points.
+detuning sweeps, and the rate/reach/channel-count table, with CSV/JSON
+persistence and a process pool for independent sweep points.
 
 Steady-state capture model
 --------------------------
@@ -414,7 +413,7 @@ def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -
     return reports
 
 
-def _train(sc: ScenarioConfig, seed: int, held=None):
+def _train(sc: ScenarioConfig, seed: int, held):
     """Probe and load: ``(plans, timing)`` of every lit channel."""
     snr, timing = _probe(sc, seed, held)
     return _load(sc, snr), timing
