@@ -572,10 +572,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a negative seed and a pool of fewer than one worker."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         status = args.handler(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit
     except BrokenPipeError:

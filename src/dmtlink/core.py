@@ -7,6 +7,7 @@ safe to pass between worker processes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -301,14 +302,105 @@ def map_symbols(groups: np.ndarray, b: int) -> np.ndarray:
     return constellation(b)[np.asarray(groups, dtype=np.int64)]
 
 
-def demap_symbols(points: np.ndarray, b: int) -> np.ndarray:
+def demap_symbols(points: np.ndarray, b) -> np.ndarray:
     """Vectorized hard decision: nearest constellation point's group index.
 
     Ties resolve to the lowest group index (lexicographically smallest bit
-    group) because argmin keeps the first minimum.
+    group), as an argmin over the table that keeps the first minimum would.
+    ``b`` is an order or an integer array of orders broadcast against
+    ``points``, so one call can decide a mix of orders; the result is flat.
+
+    The decision is the lattice slicer described above ``_slicer``: O(1)
+    per point, and exact to that argmin on every point, ties included.
     """
+    points, orders = np.broadcast_arrays(np.asarray(points, dtype=np.complex128), _orders(b))
+    points, orders = points.reshape(-1), orders.reshape(-1)
+    out = np.empty(points.size, dtype=np.int64)
+    for lo in range(0, points.size, _CHUNK):
+        seg = slice(lo, lo + _CHUNK)
+        out[seg] = _slicer(orders[seg])(points[seg]) - _TABLE_START[orders[seg]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Hard decisions
+#
+# Scaled by its order's factor, every table sits on the odd-integer lattice
+# (BPSK's imaginary part is 0).  The nearest point of a rectangular table is
+# the nearest odd level on each axis, clipped to the table's extent.  A cross
+# table (orders 5 and 7) is the union of two rectangles, |X| <= 5, |Y| <= 3
+# and |X| <= 3, |Y| <= 5 for 32-cross (11 and 7 for 128-cross); its nearest
+# point is the closer of the two rectangles' nearest points, measured with
+# the argmin's own expression (re - tx)**2 + (im - ty)**2, the lower group
+# index on a tie.
+#
+# In half-lattice units w, decision boundaries fall on the integers, so
+# floor(w) names a cell, and a lookup table per order and rectangle, built
+# below from the tables themselves, holds the point each cell decides for.
+#
+# Guard band: the argmin compares rounded distances, so on a boundary, or
+# within rounding of one, it may keep a point the exact rule would not.  A
+# point within _BAND of a boundary on either axis, or beyond _FAR of the
+# origin (clamped onto that boundary), including NaN and infinite points, is
+# decided by the argmin itself on its order's table.  Outside the band every
+# other point is farther than the nearest by at least 8e-9 squared lattice
+# units, over a thousand times the rounding of the distances within _FAR.
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 14  # points per decision call, so that its temporaries stay in cache
+_BAND = 1e-9
+_FAR = 16
+_SPAN = 2 * _FAR + 1  # cells per axis of each lookup table
+
+_TABLE = np.concatenate([_CONSTELLATIONS[b] for b in range(1, MAX_QAM_BITS + 1)])
+"""Every table end to end: order b's group g is ``_TABLE[_TABLE_START[b] + g]``."""
+_TABLE_START = np.array([0] + [(1 << b) - 2 for b in range(1, MAX_QAM_BITS + 1)])
+
+
+# Built on first use, not at import: its numpy calls would otherwise add
+# about 0.5 MB to the resident set before the first frame, which sets a
+# run's peak.
+@functools.cache
+def _lattice_tables():
+    """Half-lattice factor and cross flag per order, and the cells' decisions.
+
+    ``cells[r, b, i + _FAR, j + _FAR]`` is the ``_TABLE`` index that
+    rectangle ``r`` of order ``b`` decides for on cell ``(i, j)``, where
+    ``w`` lies in ``[i, i + 1) x [j, j + 1)``; it is returned flat.  A
+    rectangular table is its own two rectangles.
+    """
+    half = np.ones(MAX_QAM_BITS + 1)
+    cross = np.zeros(MAX_QAM_BITS + 1, dtype=bool)
+    cells = np.zeros((2, MAX_QAM_BITS + 1, _SPAN, _SPAN), dtype=np.int16)
+    odd = 2 * np.arange(-_FAR, _FAR + 1) + 1  # the odd level at the centre of each cell
+    for b in range(1, MAX_QAM_BITS + 1):
+        table = _CONSTELLATIONS[b]
+        scale = 1.0 / np.abs(table.real).min()
+        xy = np.stack([table.real, table.imag], axis=-1) * scale
+        lattice = np.rint(xy).astype(np.int64)
+        extent = np.abs(lattice).max(axis=0)
+        if np.abs(xy - lattice).max() > 1e-9 or np.any((lattice + extent) % 2):
+            raise AssertionError(f"order {b} left the odd-integer lattice")
+        labels = np.full(extent + 1, -1)
+        labels[tuple(((lattice + extent) // 2).T)] = _TABLE_START[b] + np.arange(table.size)
+        # the wings of a cross reach past its core on one axis at a time
+        core = np.abs(lattice[np.abs(lattice[:, 0]) == extent[0], 1]).max()
+        cross[b] = labels.min() < 0
+        rects = [(extent[0], core), (core, extent[1])] if cross[b] else [extent, extent]
+        for r, (ex, ey) in enumerate(rects):
+            x = (np.clip(odd, -ex, ex) + extent[0]) // 2
+            y = (np.clip(odd, -ey, ey) + extent[1]) // 2
+            cells[r, b] = labels[x[:, None], y[None, :]]
+        decided = set(cells[:, b].ravel().tolist())
+        if decided != set(range(_TABLE_START[b], _TABLE_START[b] + table.size)):
+            raise AssertionError(f"order {b} is not the union of two rectangles")
+        half[b] = scale / 2
+    return _freeze(half), _freeze(cross), _freeze(cells.ravel())
+
+
+def _search_nearest(points: np.ndarray, b: int) -> np.ndarray:
+    """Brute-force hard decision: the argmin over order b's whole table."""
     table = constellation(b)
-    points = np.asarray(points, dtype=np.complex128).ravel()
     out = np.empty(points.size, dtype=np.int64)
     chunk = max(1, (1 << 21) // table.size)
     tx, ty = table.real, table.imag
@@ -317,6 +409,72 @@ def demap_symbols(points: np.ndarray, b: int) -> np.ndarray:
         d2 = (seg.real[:, None] - tx) ** 2 + (seg.imag[:, None] - ty) ** 2
         out[lo : lo + chunk] = np.argmin(d2, axis=1)
     return out
+
+
+def _orders(b) -> np.ndarray:
+    """``b`` as an array of orders, each an integer in [1, MAX_QAM_BITS]."""
+    orders = np.asarray(b)
+    if not np.issubdtype(orders.dtype, np.integer):
+        raise ValueError(f"b must be an integer order, got {orders.dtype}")
+    if orders.size and not 1 <= orders.min() <= orders.max() <= MAX_QAM_BITS:
+        found = sorted(set(orders.ravel().tolist()))
+        raise ValueError(f"b must lie in [1, {MAX_QAM_BITS}], got {found}")
+    return orders
+
+
+def _slicer(orders: np.ndarray, scale: np.ndarray | None = None):
+    """Decision function for symbols whose columns carry ``orders``.
+
+    Column ``c`` carries order ``orders[c]`` (checked by the caller, in
+    [1, MAX_QAM_BITS]) scaled by ``scale[c]`` (1 when ``scale`` is None):
+    its point is decided as ``z / scale[c]`` would be on the unit table.
+    Every per-column constant is gathered here, once; the returned
+    ``decide(z)`` takes complex symbols of shape ``(..., len(orders))`` and
+    returns, per symbol, the ``_TABLE`` index of its decision.  Folding the
+    scale into the lattice factor rounds ``w`` differently from ``(z /
+    scale) * factor`` by a few ulp, far inside the guard band; the argmin
+    and the cross comparison get ``z / scale`` itself.
+    """
+    orders = np.asarray(orders)
+    half, is_cross, cells = _lattice_tables()
+    factor = half[orders] if scale is None else half[orders] / scale
+    factor = np.repeat(factor, 2).reshape(-1, 2)
+    first = (orders * _SPAN + _FAR) * _SPAN + _FAR  # cell (0, 0) of rectangle 0
+    cross = np.flatnonzero(is_cross[orders])
+    second = cells.size // 2  # rectangle 1's cells follow rectangle 0's
+
+    def unscaled(z, cols=slice(None)):
+        return z[..., cols] if scale is None else z[..., cols] / scale[cols]
+
+    def decide(z: np.ndarray) -> np.ndarray:
+        z = np.ascontiguousarray(z, dtype=np.complex128)
+        w = z.view(np.float64).reshape(z.shape + (2,)) * factor
+        np.minimum(w, _FAR, out=w)  # far and infinite points land on a boundary
+        np.maximum(w, -_FAR, out=w)
+        level = np.floor(w)
+        w -= level  # offset into the cell, NaN for NaN points
+        near = None
+        if w.size and not (w.min() > _BAND and w.max() < 1 - _BAND):
+            near = ~((w > _BAND) & (w < 1 - _BAND)).all(axis=-1)
+            level[near] = 0
+        cell = (level[..., 0] * _SPAN + level[..., 1] + first).astype(np.intp)
+        found = cells[cell]
+        if cross.size:
+            one, two = found[..., cross], cells[cell[..., cross] + second]
+            p, t1, t2 = unscaled(z, cross), _TABLE[one], _TABLE[two]
+            d1 = (p.real - t1.real) ** 2 + (p.imag - t1.imag) ** 2
+            d2 = (p.real - t2.real) ** 2 + (p.imag - t2.imag) ** 2
+            found[..., cross] = np.where((d2 < d1) | ((d2 == d1) & (two < one)), two, one)
+        if near is not None:
+            which, points = np.broadcast_to(orders, near.shape)[near], unscaled(z)[near]
+            fixed = np.empty(points.size, dtype=np.intp)
+            for b in np.unique(which):
+                sel = which == b
+                fixed[sel] = _TABLE_START[b] + _search_nearest(points[sel], int(b))
+            found[near] = fixed
+        return found
+
+    return decide
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,11 @@ from .core import (
     DmtConfig,
     RealWaveform,
     SubcarrierPlan,
-    demap_symbols,
-    groups_to_bits,
-    map_symbols,
+    _CHUNK,
+    _TABLE,
+    _TABLE_START,
     _freeze,
+    _slicer,
 )
 
 __all__ = [
@@ -270,6 +271,14 @@ def dd_equalize(
     and active taps update as ``H_i <- (1 - mu) H_i + mu * Y_i / Xhat_i``.
     Inactive subcarriers pass through untouched.
 
+    The decisions of a symbol are one call of the lattice slicer over all
+    its active subcarriers, whatever their orders, with the plan's
+    constants gathered once before the symbol loop.  Like
+    ``demap_symbols``, it falls back to the brute-force nearest-point search
+    within a guard band of the decision boundaries, so every decision, and
+    with it every tap, is the one that search would give, ties going to the
+    lowest group index.
+
     Returns the equalized symbols and the updated state (the input state is
     not modified).
     """
@@ -280,23 +289,22 @@ def dd_equalize(
         raise ValueError("equalizer taps do not match the plan")
     taps = state.taps.copy()
     mu = state.step
-    scale = np.sqrt(plan.powers)
-    active = plan.bits > 0
-    by_order = {
-        int(b): np.flatnonzero(plan.bits == b) for b in np.unique(plan.bits[active])
-    }
+    active = np.flatnonzero(plan.bits)
+    if mu == 0.0 or not active.size:
+        return rows / taps, EqualizerState(taps=taps, step=mu)
 
     equalized = np.empty_like(rows)
-    for k in range(rows.shape[0]):
-        z = rows[k] / taps
-        equalized[k] = z
-        if mu == 0.0:
-            continue
-        decisions = np.zeros(plan.n_subcarriers, dtype=np.complex128)
-        for b, cols in by_order.items():
-            nearest = demap_symbols(z[cols] / scale[cols], b)
-            decisions[cols] = map_symbols(nearest, b) * scale[cols]
-        taps[active] = (1 - mu) * taps[active] + mu * rows[k, active] / decisions[active]
+    inactive = np.flatnonzero(plan.bits == 0)  # their taps never change
+    equalized[:, inactive] = rows[:, inactive] / taps[inactive]
+    scale = np.sqrt(plan.powers[active])
+    decide = _slicer(plan.bits[active], scale)
+    received = rows[:, active]
+    held = taps[active]
+    for k, row in enumerate(received):
+        equalized[k, active] = z = row / held
+        decisions = _TABLE[decide(z)] * scale
+        held = (1 - mu) * held + mu * row / decisions
+    taps[active] = held
     return equalized, EqualizerState(taps=taps, step=mu)
 
 
@@ -307,20 +315,29 @@ def demap_frame(symbols: np.ndarray, plan: SubcarrierPlan) -> np.ndarray:
     subcarrier-minor, MSB first within each subcarrier's group, so the
     result lines up index-for-index with the payload handed to the
     modulator.
+
+    One lattice slicer, built for the plan's active subcarriers, decides
+    them all at once, whatever their orders, a block of symbols per call
+    (about ``_CHUNK`` points, so that its temporaries stay in cache).  As
+    in ``demap_symbols``, points within a guard band of a decision boundary
+    go to the brute-force nearest-point search, so every decision is the
+    one that search would give, ties going to the lowest group index.
     """
     rows = np.asarray(symbols, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != plan.n_subcarriers:
         raise ValueError("symbols must be (n_symbols, n_subcarriers)")
-    n_sym = rows.shape[0]
-    starts = np.cumsum(plan.bits) - plan.bits
-    scale = np.sqrt(plan.powers)
-    bits = np.zeros((n_sym, plan.bits_per_symbol), dtype=np.int8)
-    for b in np.unique(plan.bits[plan.bits > 0]):
-        cols = np.flatnonzero(plan.bits == b)
-        groups = demap_symbols((rows[:, cols] / scale[cols]).ravel(), int(b))
-        unpacked = groups_to_bits(groups, int(b)).reshape(n_sym, cols.size, int(b))
-        targets = starts[cols][:, None] + np.arange(b)[None, :]
-        bits[:, targets.ravel()] = unpacked.reshape(n_sym, -1)
+    active = np.flatnonzero(plan.bits)
+    orders = plan.bits[active]
+    decide = _slicer(orders, np.sqrt(plan.powers[active]))
+    first = _TABLE_START[orders]
+    # output bit t is bit `shifts[t]` of the group on active subcarrier `owner[t]`
+    owner = np.repeat(np.arange(active.size), orders)
+    shifts = np.repeat(np.cumsum(orders) - 1, orders) - np.arange(owner.size)
+    bits = np.empty((rows.shape[0], owner.size), dtype=np.int8)
+    step = max(1, _CHUNK // max(1, active.size))
+    for lo in range(0, rows.shape[0], step):
+        groups = decide(rows[lo : lo + step, active]) - first
+        bits[lo : lo + step] = (groups[:, owner] >> shifts) & 1
     return bits.ravel()
 
 

@@ -628,6 +628,29 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestSeedAndWorkerCounts:
+    """A negative seed or a pool of fewer than one worker is a config error
+    naming its flag, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--loopback", "--seed", "-1"], "--seed"),
+            (["sweep", "--axis", "osnr", "--start", "30", "--stop", "30", "--step", "1",
+              "--seed", "-2"], "--seed"),
+            (["sweep", "--axis", "osnr", "--start", "30", "--stop", "30", "--step", "1",
+              "--workers", "-3"], "--workers"),
+            (["table", "--scenario", "8x56", "--workers", "0"], "--workers"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag in err
+        assert not out.exists()
+
+
 class TestTableCommand:
     """The ``table`` subcommand: filtering, pass/fail, exit codes."""
 

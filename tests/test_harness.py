@@ -386,6 +386,12 @@ def _probe_steps(bracket=(10.0, 50.0), tol_db=SEARCH_TOL_DB):
     return math.ceil(math.log2((bracket[1] - bracket[0]) / tol_db))
 
 
+def _full_count_search(point):
+    """The full-count reference search at one (detuning, seed)."""
+    det, seed = point
+    return required_osnr_full_count(_search_scenario(det), tol_db=SEARCH_TOL_DB, seed=seed)
+
+
 class TestProbeSteeredSearch:
     @pytest.fixture(scope="class")
     def searched(self):
@@ -410,11 +416,11 @@ class TestProbeSteeredSearch:
         return out
 
     def test_same_float_as_the_full_count_reference(self, searched):
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            references = dict(zip(searched, pool.map(_full_count_search, searched)))
         for (det, seed), (value, _) in searched.items():
-            reference = required_osnr_full_count(
-                _search_scenario(det), tol_db=SEARCH_TOL_DB, seed=seed
-            )
-            assert value == reference, (det, seed)
+            assert value == references[det, seed], (det, seed)
 
     def test_search_and_sweep_agree(self, searched):
         """The result passes under ``sweep_osnr`` at the same seed, and the
