@@ -313,7 +313,13 @@ def demap_symbols(points: np.ndarray, b) -> np.ndarray:
     The decision is the lattice slicer described above ``_slicer``: O(1)
     per point, and exact to that argmin on every point, ties included.
     """
-    points, orders = np.broadcast_arrays(np.asarray(points, dtype=np.complex128), _orders(b))
+    orders = np.asarray(b)
+    if not np.issubdtype(orders.dtype, np.integer):
+        raise ValueError(f"b must be an integer order, got {orders.dtype}")
+    if orders.size and not 1 <= orders.min() <= orders.max() <= MAX_QAM_BITS:
+        found = sorted(set(orders.ravel().tolist()))
+        raise ValueError(f"b must lie in [1, {MAX_QAM_BITS}], got {found}")
+    points, orders = np.broadcast_arrays(np.asarray(points, dtype=np.complex128), orders)
     points, orders = points.reshape(-1), orders.reshape(-1)
     out = np.empty(points.size, dtype=np.int64)
     for lo in range(0, points.size, _CHUNK):
@@ -411,22 +417,11 @@ def _search_nearest(points: np.ndarray, b: int) -> np.ndarray:
     return out
 
 
-def _orders(b) -> np.ndarray:
-    """``b`` as an array of orders, each an integer in [1, MAX_QAM_BITS]."""
-    orders = np.asarray(b)
-    if not np.issubdtype(orders.dtype, np.integer):
-        raise ValueError(f"b must be an integer order, got {orders.dtype}")
-    if orders.size and not 1 <= orders.min() <= orders.max() <= MAX_QAM_BITS:
-        found = sorted(set(orders.ravel().tolist()))
-        raise ValueError(f"b must lie in [1, {MAX_QAM_BITS}], got {found}")
-    return orders
-
-
 def _slicer(orders: np.ndarray, scale: np.ndarray | None = None):
     """Decision function for symbols whose columns carry ``orders``.
 
-    Column ``c`` carries order ``orders[c]`` (checked by the caller, in
-    [1, MAX_QAM_BITS]) scaled by ``scale[c]`` (1 when ``scale`` is None):
+    Column ``c`` carries order ``orders[c]`` (checked by the caller to lie
+    in [1, MAX_QAM_BITS]) scaled by ``scale[c]`` (1 when ``scale`` is None):
     its point is decided as ``z / scale[c]`` would be on the unit table.
     Every per-column constant is gathered here, once; the returned
     ``decide(z)`` takes complex symbols of shape ``(..., len(orders))`` and
