@@ -1,12 +1,13 @@
 """Linear optical channel: modulator, WDM grid, filters, fiber, noise, receiver.
 
-A link run uses ``optical_span``, one frequency-domain pass from modulator
-to receiver in two steps: ``compose`` sums the launched comb after
-dispersion, and ``receive`` adds the OSNR noise, drawn directly as a
-spectrum over the bins a receiver passes, and detects each receiver on a
-grid that holds only its own passband.  ``end_to_end_fading_profile``
-probes the same pieces (the modulator transfer, the dispersion phase and
-the filter responses) with one tone at a time.
+A frame crosses the span in one frequency-domain pass from modulator to
+receiver, in steps: ``compose`` sums the launched comb after dispersion,
+``noise_draws`` draws the unit noise over the bins a receiver passes, and
+``receive`` scales that noise to the OSNR, adds it as a spectrum and
+detects each receiver on a grid that holds only its own passband.  Only
+``receive`` depends on the OSNR.  ``end_to_end_fading_profile`` probes the
+same pieces (the modulator transfer, the dispersion phase and the filter
+responses) with one tone at a time.
 
 Sign conventions, documented once here:
 
@@ -39,7 +40,6 @@ __all__ = [
     "compose",
     "end_to_end_fading_profile",
     "noise_draws",
-    "optical_span",
     "receive",
     "rx_frontend",
 ]
@@ -172,6 +172,8 @@ class LinkConfig:
             raise ValueError(f"n_channels must be in [4, 8], got {self.n_channels}")
         if not self.lit_channels:
             raise ValueError("at least one channel must be lit")
+        if np.isnan(self.osnr_db):
+            raise ValueError("osnr_db must be a number of dB or inf (noiseless), got nan")
         if any(length <= 0 for length in self.span_lengths_km):
             raise ValueError("every span length must be positive")
         if not 0 < self.drive_swing <= 1:
@@ -282,28 +284,24 @@ def _add_osnr_noise(
     sample_rate: float,
     osnr_db: float,
     power: float,
-    seed: int,
-    draws: np.ndarray | None = None,
+    draws: np.ndarray,
 ) -> None:
     """Add, in place, the spectrum of white noise putting a signal of ``power`` at ``osnr_db``.
 
     Circular noise ``sigma * (re + 1j * im)`` per sample has, as its DFT,
     circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
-    so the spectrum is drawn directly, with no transform.  It is drawn only
-    over ``band``, ``[start, stop)`` bin ranges in ascending order: one
-    ``standard_normal(2 * m)`` at ``seed`` for its ``m`` bins, the first
-    ``m`` values the real parts and the next ``m`` the imaginary parts.
-    Each bin then gains its unit draw times ``sqrt(n) * sigma``, the only
-    factor that depends on the OSNR and the power.  ``draws``, when given,
-    is that draw made once (``_unit_draws``) by a caller that adds the same
-    noise at several OSNRs; it is read, not changed.
+    so the spectrum is drawn directly, with no transform.  It lives only on
+    ``band``, ``[start, stop)`` bin ranges in ascending order, and
+    ``draws`` (``noise_draws``) holds its ``2 * m`` unit draws for their
+    ``m`` bins, the first ``m`` the real parts and the next ``m`` the
+    imaginary parts.  Each bin gains its unit draw times
+    ``sqrt(n) * sigma``, the only factor that depends on the OSNR and the
+    power; ``draws`` is read, not changed.
     """
     if power <= 0:
         raise ValueError("cannot set a finite OSNR on a zero-power field")
     psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
     sigma = np.sqrt(psd * sample_rate / 2.0)
-    if draws is None:
-        draws = _unit_draws(band, seed)
     scale = np.sqrt(spectrum.size) * sigma
     m = draws.size // 2
     at = 0
@@ -312,12 +310,6 @@ def _add_osnr_noise(
         spectrum.real[start:stop] += draws[at : at + width] * scale
         spectrum.imag[start:stop] += draws[m + at : m + at + width] * scale
         at += width
-
-
-def _unit_draws(band: np.ndarray, seed: int) -> np.ndarray:
-    """The unit normal draws of the noise over ``band``: ``standard_normal(2 * m)``."""
-    m = int(np.sum(band[:, 1] - band[:, 0]))
-    return np.random.default_rng(seed).standard_normal(2 * m)
 
 
 def _mean_power(spectrum: np.ndarray) -> float:
@@ -512,20 +504,16 @@ def _span_operators(link: LinkConfig, n: int) -> _SpanOperators:
     return _SpanOperators(link, n)
 
 
-def optical_span(
-    link: LinkConfig,
-    drives: dict,
-    rx_channels,
-    noise_seed: int,
-    occupied_bandwidth: float,
-) -> dict:
-    """Carry one frame from the modulator drives to each receiver's capture.
+def compose(
+    link: LinkConfig, drives: dict, rx_channels, occupied_bandwidth: float
+) -> tuple[np.ndarray, float | None]:
+    """Launch, multiplex and disperse one frame: the span's noiseless composite.
 
     Between the modulator and the photodiode, the only nonlinear steps, the
     span is linear and diagonal in frequency over one circular frame, so it
-    runs in two steps on one composite spectrum: ``compose`` launches each
-    channel and sums the comb after dispersion, and ``receive`` adds the
-    noise and detects each receiver on its own passband.  The dispersion
+    runs on one composite spectrum.  Each channel's field is transformed
+    once, shaped by its interleaver port and moved onto its laser by a
+    whole-bin shift; the sum takes the dispersion phase.  The dispersion
     factor, the receive ports and each receive set's noise band are built
     the first time a link needs them and kept, read-only, for the most
     recent link.
@@ -533,39 +521,15 @@ def optical_span(
     Parameters
     ----------
     link : LinkConfig
-        Geometry, filters, fiber, OSNR and receiver.  The OSNR refers to the
-        launch power of the channel under test, or to the whole comb when
-        that channel is dark.
+        Geometry, filters and fiber; the OSNR plays no part here.
     drives : dict
         Lit channel -> its DAC drive, one frame at ``link.grid_rate``.
     rx_channels : iterable of int
-        Channels to detect.
-    noise_seed : int
-        Seed of the noise draw.
+        The receivers whose ports a link's first frame builds, before any
+        of the frame's own grid-sized arrays exists.
     occupied_bandwidth : float
         Two-sided extent of each channel's modulated content (the DAC
         rate), used by the aliasing guard.
-
-    Returns
-    -------
-    dict
-        Receive channel -> front-end capture at ``link.rx_sample_rate``.
-    """
-    rx_channels = list(rx_channels)
-    composite, cut_power = compose(link, drives, rx_channels, occupied_bandwidth)
-    return receive(link, composite, cut_power, rx_channels, noise_seed)
-
-
-def compose(
-    link: LinkConfig, drives: dict, rx_channels, occupied_bandwidth: float
-) -> tuple[np.ndarray, float | None]:
-    """Launch, multiplex and disperse one frame: the span's noiseless composite.
-
-    Each channel's field is transformed once, shaped by its interleaver
-    port and moved onto its laser by a whole-bin shift; the sum takes the
-    dispersion phase.  ``rx_channels`` names the receivers whose ports a
-    link's first frame builds, before any of the frame's own grid-sized
-    arrays exists.  The other arguments are those of ``optical_span``.
 
     Returns ``(composite, cut_power)``: the full two-sided spectrum of the
     comb at the receiver, before noise, and the launch power of the channel
@@ -594,14 +558,16 @@ def compose(
 
 
 def noise_draws(link: LinkConfig, n: int, rx_channels, noise_seed: int) -> np.ndarray:
-    """The unit draws of the noise ``receive`` adds at ``noise_seed``.
+    """The unit draws of the noise that ``receive`` adds for ``rx_channels``.
 
-    They span the noise band of ``rx_channels`` on the ``n``-bin grid and
-    do not depend on the OSNR, so one draw serves a composite received at
-    several OSNRs.
+    One ``standard_normal(2 * m)`` at ``noise_seed`` for the ``m`` bins of
+    the noise band of ``rx_channels`` on the ``n``-bin grid.  They do not
+    depend on the OSNR, so one draw serves a composite received at several
+    OSNRs.
     """
     band = _span_operators(replace(link, osnr_db=np.inf), n).noise_band(rx_channels)
-    return _unit_draws(band, noise_seed)
+    m = int(np.sum(band[:, 1] - band[:, 0]))
+    return np.random.default_rng(noise_seed).standard_normal(2 * m)
 
 
 def receive(
@@ -609,26 +575,26 @@ def receive(
     composite: np.ndarray,
     cut_power: float | None,
     rx_channels,
-    noise_seed: int,
-    draws: np.ndarray | None = None,
+    draws: np.ndarray | None,
 ) -> dict:
     """Add the OSNR noise to ``compose``'s composite and capture each receiver.
 
-    The noise is drawn directly as its spectrum, over the bins some receiver
-    passes above float64's epsilon (``_add_osnr_noise``), and refers to
-    ``cut_power``, or to the composite's power when that is ``None``.
-    ``draws`` (from ``noise_draws`` at ``noise_seed``) stands in for drawing
-    the noise anew, to the same bits.  Each receiver takes the circular run
-    of ``W`` bins its ports pass above that epsilon, applies both ports in
-    one product and lays the run onto a detection grid of ``L`` bins, the
-    smallest 2-3-5-smooth length of at least ``W + K``, where ``K`` is the
-    number of bins the capture keeps (at least ``2K`` for a band narrower
-    than the capture, and at most the frame).  It transforms back, detects
-    and transforms forward on that grid.  A bin-to-position map that is one
-    shift modulo ``L`` leaves ``|E|^2`` unchanged, and with ``L >= W + K``
-    no beat between passed bins aliases onto a kept bin, so this is
-    detection on the whole frame, to rounding, at about 0.7 of its
-    transform length.
+    The noise is ``draws`` (``noise_draws`` for ``rx_channels``), scaled to
+    the link's OSNR and added as a spectrum over the bins some receiver
+    passes above float64's epsilon (``_add_osnr_noise``).  It refers to
+    ``cut_power``, or to the composite's power when that is ``None``.  At
+    an infinite OSNR nothing is added and ``draws`` may be ``None``.
+
+    Each receiver takes the circular run of ``W`` bins its ports pass above
+    that epsilon, applies both ports in one product and lays the run onto
+    a detection grid of ``L`` bins, the smallest 2-3-5-smooth length of at
+    least ``W + K``, where ``K`` is the number of bins the capture keeps
+    (at least ``2K`` for a band narrower than the capture, and at most the
+    frame).  It transforms back, detects and transforms forward on that
+    grid.  A bin-to-position map that is one shift modulo ``L`` leaves
+    ``|E|^2`` unchanged, and with ``L >= W + K`` no beat between passed
+    bins aliases onto a kept bin, so this is detection on the whole frame,
+    to rounding, at about 0.7 of its transform length.
 
     Works in place: the noise lands in ``composite`` and the last receiver
     detects in its buffer, so a caller receiving one composite at several
@@ -640,9 +606,11 @@ def receive(
     rx_channels = list(rx_channels)
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     if np.isfinite(link.osnr_db):
+        if draws is None:
+            raise ValueError(f"a finite OSNR ({link.osnr_db} dB) needs the frame's noise draws")
         power = _mean_power(composite) if cut_power is None else cut_power
         band = operators.noise_band(rx_channels)
-        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed, draws)
+        _add_osnr_noise(composite, band, rate, link.osnr_db, power, draws)
 
     kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
     captures = {}
@@ -700,7 +668,7 @@ def end_to_end_fading_profile(
     Drives the modulator with one low-amplitude tone at a time, passes the
     field through the interleaver port (at the given detuning), the fiber
     and the port again, detects it, and reads back the tone's RF power.
-    The pieces are those ``optical_span`` runs: the modulator transfer, the
+    The pieces are those a frame crosses: the modulator transfer, the
     dispersion phase and the filter response, which act on the field's
     spectrum as one product per reach.  The result is normalized to a
     back-to-back run of the same chain, isolating the dispersion/vestigial-

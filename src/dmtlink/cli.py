@@ -40,6 +40,7 @@ from .core import InfeasibleRateError
 from .harness import (
     InfeasibleOsnrError,
     ScenarioConfig,
+    TABLE_OSNR_DB,
     TABLE_SCENARIOS,
     analytic_fading,
     persist_run,
@@ -400,7 +401,7 @@ def _osnr_crossing(osnr_db: np.ndarray, ber: np.ndarray, target: float):
 def _cmd_table(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if cfg["osnr_db"] is None:
-        cfg["osnr_db"] = args.table_osnr_db
+        cfg["osnr_db"] = TABLE_OSNR_DB
     base = build_scenario(cfg)
     scenarios = TABLE_SCENARIOS
     if args.scenario is not None:
@@ -552,12 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--full-comb",
         action="store_true",
         help="light every comb slot instead of the 3-channel neighborhood",
-    )
-    p_table.add_argument(
-        "--table-osnr-db",
-        type=float,
-        default=38.0,
-        help="evaluation OSNR when the config leaves it unset (default 38)",
     )
     p_table.set_defaults(handler=_cmd_table)
 

@@ -3,8 +3,8 @@
 Ties the transmit DSP, the loading engine, the optical channel, and the
 receive DSP into seeded, reproducible experiments: single link runs with the
 train-then-measure two-pass structure (probe, load, count), the
-required-OSNR search (bisected on one probe frame composed once and
-received at each OSNR, with BER counted once at the edge it finds),
+required-OSNR search (bisected on one probe frame sent once and received
+at each OSNR, with BER counted once at the edge it finds),
 detuning sweeps, and the rate/reach/channel-count table, with CSV/JSON
 persistence and a process pool for independent sweep points.
 
@@ -18,10 +18,13 @@ implemented as circular (FFT) operators over exactly one frame period, which
 of cycles per period; carrier offsets are therefore snapped to the frame's
 spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The WDM mux is
 then an exact whole-bin shift of each channel's spectrum, not a mixer, and
-the optical span from modulator to photodiode runs on one composite spectrum
-(``channel.optical_span``).  The receiver reads the one-period capture
-circularly, in sync and in demodulation alike (a window that runs past the
-end continues at the start, as it does in the looped signal).  Every frame
+the optical span from modulator to photodiode runs on one composite spectrum.
+Every frame takes one path: it is sent (``_send``: modulation, DAC,
+``channel.compose`` and the unit noise draws, none of which depends on the
+OSNR), then received at the link's OSNR (``channel.receive``).  The
+receiver reads the one-period capture circularly, in sync and in
+demodulation alike (a window that runs past the end continues at the
+start, as it does in the looped signal).  Every frame
 of a run sees the same span with the same delay, so each lit channel is
 synchronized once, on its probe capture, and every frame of that channel
 is demodulated at the start found there.
@@ -40,6 +43,7 @@ documented 3-channel neighborhood; a flag selects full-comb runs instead).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -51,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import LinkConfig, SPEED_OF_LIGHT, compose, noise_draws, optical_span, receive
+from .channel import LinkConfig, SPEED_OF_LIGHT, compose, noise_draws, receive
 from .core import (
     DmtConfig,
     InfeasibleRateError,
@@ -78,6 +82,7 @@ __all__ = [
     "RunRecord",
     "ScenarioConfig",
     "SweepResult",
+    "TABLE_OSNR_DB",
     "TABLE_SCENARIOS",
     "TableRow",
     "analytic_fading",
@@ -104,6 +109,9 @@ TABLE_SCENARIOS = (
     (8, 56e9, 240.0),
 )
 """Rate/reach/channel-count operating points evaluated by the table run."""
+
+TABLE_OSNR_DB = 38.0
+"""Evaluation OSNR of the table run when its config leaves the OSNR unset."""
 
 
 class InfeasibleOsnrError(RuntimeError):
@@ -289,57 +297,64 @@ def _with_context(exc, context: str):
     return type(exc)(f"{context}: {exc.args[0] if exc.args else exc}")
 
 
-def _transmit_once(
-    sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels, timing, held=None
-):
-    """Run one frame through the chain and demodulate ``rx_channels``.
+def _send(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
+    """Build one frame up to the receivers: all of it that the OSNR does not set.
 
-    ``plans`` maps every lit channel to its SubcarrierPlan; ``stage``
-    separates the seed streams of the probe pass and each payload frame.
-    ``timing`` maps each channel to the ``SyncResult`` its frames are
-    demodulated at; a channel missing from it is first synchronized on this
-    capture (the probe pass fills it, payload frames only read it).
-    ``held``, a dict, lets calls that differ only in the OSNR share one
-    frame: the first call keeps its frames, its noiseless composite and its
-    unit noise draws there, and every later call only receives a copy of
-    that composite at its own OSNR, to the same bits as a frame sent anew.
-    Returns ``{channel: (tx_symbols, tx_bits, demodulated)}``: the frame's
-    transmitted subcarrier values (training rows first), its payload bits,
-    and the received ``DemodulatedFrame``.
+    Modulates every lit channel at its SubcarrierPlan in ``plans``, runs the
+    DAC and ``compose``, and draws the unit noise of ``rx_channels``
+    (``noise_draws``); ``stage`` separates the seed streams of the probe
+    pass and each payload frame.  Returns ``(frames, composite, cut_power,
+    draws)``.  A loopback frame has no composite, and an infinite OSNR draws
+    no noise (``None``).
     """
     link, dmt = sc.link, sc.dmt
-    noise_seed = _seed_int(seed, stage, 303)
-    if held:  # composed by an earlier call that shares this frame
-        frames = held["frames"]
-    else:
-        frames = {}
-        for ch in link.lit_channels:
-            payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
-            payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
-            # training symbols are fixed across stages
-            frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
+    frames = {}
+    for ch in link.lit_channels:
+        payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
+        payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
+        # training symbols are fixed across stages
+        frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
+    if sc.loopback:
+        return frames, None, None, None
+    drives = {
+        ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
+        for ch, frame in frames.items()
+    }
+    # The modulated content spans the DAC Nyquist band around each laser
+    # (the drive was upsampled before the modulator, so there is headroom
+    # for its weak harmonics but the occupied band is still the DAC's).
+    composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
+    del drives
+    draws = None
+    if np.isfinite(link.osnr_db):
+        draws = noise_draws(link, composite.size, rx_channels, _seed_int(seed, stage, 303))
+    return frames, composite, cut_power, draws
 
+
+def _transmit_once(
+    sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels, timing, sent=None
+):
+    """Send one frame, receive it and demodulate ``rx_channels``.
+
+    ``plans``, ``stage`` and ``seed`` are those of ``_send``.  ``timing``
+    maps each channel to the ``SyncResult`` its frames are demodulated at;
+    a channel missing from it is first synchronized on this capture (the
+    probe pass fills it, payload frames only read it).  ``sent``, a frame
+    ``_send`` built once for calls that differ only in the OSNR, stands in
+    for sending anew, to the same bits; it is shared, so a copy of its
+    composite is received.  Returns ``{channel: (tx_symbols, tx_bits,
+    demodulated)}``: the frame's transmitted subcarrier values (training
+    rows first), its payload bits, and the received ``DemodulatedFrame``.
+    """
+    link, dmt = sc.link, sc.dmt
+    frames, composite, cut_power, draws = sent or _send(sc, plans, stage, seed, rx_channels)
     if sc.loopback:
         captures = {ch: clip(frames[ch].waveform, dmt.clipping_ratio_db) for ch in rx_channels}
     else:
-        if not held:
-            drives = {
-                ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
-                for ch, frame in frames.items()
-            }
-            # The modulated content spans the DAC Nyquist band around each laser
-            # (the drive was upsampled before the modulator, so there is headroom
-            # for its weak harmonics but the occupied band is still the DAC's).
-            if held is None:
-                rx = optical_span(link, drives, rx_channels, noise_seed, dmt.dac_rate)
-            else:  # the first call sharing the frame composes it
-                composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
-                del drives
-                draws = noise_draws(link, composite.size, rx_channels, noise_seed)
-                held.update(frames=frames, composite=composite, cut_power=cut_power, draws=draws)
-        if held:  # a copy, since receiving consumes the composite
-            composite, cut_power, draws = held["composite"], held["cut_power"], held["draws"]
-            rx = receive(link, composite.copy(), cut_power, rx_channels, noise_seed, draws)
+        if sent is not None:  # receiving consumes the composite
+            composite = composite.copy()
+        rx = receive(link, composite, cut_power, rx_channels, draws)
+        del composite, draws  # the frame's grid-sized arrays go before the RX DSP
         captures = {ch: resample(sqrt_linearize(rx.pop(ch)), dmt.dac_rate) for ch in rx_channels}
 
     received = {}
@@ -355,19 +370,24 @@ def _transmit_once(
     return received
 
 
-def _probe(sc: ScenarioConfig, seed: int, held=None):
+def _probe_plans(sc: ScenarioConfig) -> dict:
+    """The probe frame's plans: uniform QPSK on every lit channel."""
+    plan = SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2)
+    return {ch: plan for ch in sc.link.lit_channels}
+
+
+def _probe(sc: ScenarioConfig, seed: int, sent=None):
     """Probe pass: sync each lit channel once and estimate its SNR profile.
 
     Returns ``(snr, timing)`` keyed by lit channel; every later frame of a
-    channel is demodulated at its ``timing``.  ``held`` is passed on to
-    ``_transmit_once``.
+    channel is demodulated at its ``timing``.  ``sent`` is a probe frame
+    sent once for several OSNRs (see ``_transmit_once``).
     """
     dmt = sc.dmt
     lit = sc.link.lit_channels
-    probe_plan = SubcarrierPlan.uniform(dmt.n_data_subcarriers, bits=2)
     timing = {}
     try:
-        probe = _transmit_once(sc, {ch: probe_plan for ch in lit}, 0, seed, lit, timing, held)
+        probe = _transmit_once(sc, _probe_plans(sc), 0, seed, lit, timing, sent)
     except SyncNotFoundError as exc:
         raise _with_context(exc, f"scenario {scenario_hash(sc)} probe pass") from exc
     snr = {}
@@ -413,9 +433,9 @@ def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -
     return reports
 
 
-def _train(sc: ScenarioConfig, seed: int, held):
+def _train(sc: ScenarioConfig, seed: int, sent):
     """Probe and load: ``(plans, timing)`` of every lit channel."""
-    snr, timing = _probe(sc, seed, held)
+    snr, timing = _probe(sc, seed, sent)
     return _load(sc, snr), timing
 
 
@@ -543,16 +563,16 @@ def required_osnr(
     share payload, training symbols and noise draws, and differ only in the
     noise scale sigma(x) the OSNR sets.  The bisection is steered by the
     probe pass alone: a point passes when its rate loads (timing found,
-    Chow loading feasible).  The probe frame is transmitted and composed
-    once, by the first point; each point then only receives that composite
-    plus sigma(x) times the shared unit noise draws, and runs the RX DSP
-    and loading.  The bottom of the bracket is probed only when the final
-    bracket still touches it.  The composition is released, and the BER
-    counted once, at the passing end of the final bracket, continuing from
-    that point's own probe (its plans and timing; no second probe frame).
-    If that count misses the target, the top of the bracket is counted, and
-    the search bisects on counted BER between the two, with a point that
-    cannot operate counting as BER 1.
+    Chow loading feasible).  The probe frame is sent once (``_send``); each
+    point then only receives a copy of its composite plus sigma(x) times
+    its unit noise draws, and runs the RX DSP and loading.  The bottom of
+    the bracket is probed only when the final bracket still touches it.
+    The frame is dropped, and the BER counted once, at the passing end of
+    the final bracket, continuing from that point's own probe (its plans
+    and timing; no second probe frame).  If that count misses the target,
+    the top of the bracket is counted, and the search bisects on counted
+    BER between the two, with a point that cannot operate counting as
+    BER 1; its probes send their own frames.
 
     Returns a point whose BER was counted below the target: the bottom of
     the bracket, or a point within ``tol_db`` above one seen to fail.
@@ -560,26 +580,25 @@ def required_osnr(
     Raises
     ------
     ValueError
-        If the bracket is not increasing or ``tol_db`` is not a positive
-        finite number (checked before any frame runs).
+        If the bracket is not finite and increasing, or ``tol_db`` is not a
+        positive finite number (checked before any frame runs).
     InfeasibleOsnrError
         If the link cannot operate at the top of the bracket, or its
         counted BER misses the target.
     """
     bottom, top = bracket
-    if not bottom < top:
-        raise ValueError("bracket must be increasing")
+    if not (math.isfinite(bottom) and math.isfinite(top) and bottom < top):
+        raise ValueError(f"bracket must be finite and increasing, got {bracket!r}")
     if not (math.isfinite(tol_db) and tol_db > 0):
         raise ValueError(f"tol_db must be positive and finite, got {tol_db!r}")
 
     cut = sc.link.cut_index
     trained, ber = {}, {}
-    held = {}  # the probe frame its points share, composed by the first
 
-    def loads(osnr_db: float) -> bool:
+    def loads(osnr_db: float, sent=None) -> bool:
         if osnr_db not in trained:
             point = _osnr_point(sc, osnr_db, seed)
-            trained[osnr_db] = (point, _operable(_train, *point, held))
+            trained[osnr_db] = (point, _operable(_train, *point, sent))
         return trained[osnr_db][1] is not None
 
     def passes(osnr_db: float) -> bool:
@@ -590,11 +609,13 @@ def required_osnr(
                 ber[osnr_db] = _count(*point, plans, timing, [cut])[cut].ber
         return ber[osnr_db] < target_ber
 
-    if not loads(top):
+    top_sc, run_seed = _osnr_point(sc, top, seed)
+    sent = _send(top_sc, _probe_plans(sc), 0, run_seed, sc.link.lit_channels)
+    if not loads(top, sent):
         raise InfeasibleOsnrError(f"the link cannot operate at {top:.1f} dB OSNR")
-    lo, hi = _bisect(bottom, top, loads, tol_db)
-    edge = lo if lo == bottom and loads(lo) else hi
-    held = None  # released before any payload frame; later probes compose anew
+    lo, hi = _bisect(bottom, top, functools.partial(loads, sent=sent), tol_db)
+    edge = lo if lo == bottom and loads(lo, sent) else hi
+    del sent  # dropped before the first payload frame
     if passes(edge):
         return edge
     if not passes(top):
@@ -614,7 +635,7 @@ def sweep_osnr(
     seed load the same plan and count the same BER.  The points share one
     run seed: their payload, training symbols and noise draws are the same,
     and only the noise scale sigma(x) differs, so a sweep's points are not
-    independent samples.  Each point still composes its own frames.  A
+    independent samples.  Each point still sends its own frames.  A
     point where the link cannot operate counts as BER 1 (see
     ``evaluate_point``).
     """
@@ -660,7 +681,12 @@ def sweep_reach(
     Returns an array of shape ``(len(detunings_hz), len(reaches_km))``; a
     point whose target BER is missed even at the top of the OSNR bracket is
     ``inf``.  The searches run one after another in this process.
+
+    Raises ``ValueError`` for a reach below 0 km, before any frame runs.
     """
+    for reach in reaches_km:
+        if not reach >= 0:
+            raise ValueError(f"reach must be at least 0 km, got {reach!r}")
     out = np.empty((len(detunings_hz), len(reaches_km)))
     for i, det in enumerate(detunings_hz):
         for j, reach in enumerate(reaches_km):

@@ -21,7 +21,6 @@ from dmtlink.channel import (
     _mean_power,
     _mux_add,
     end_to_end_fading_profile,
-    optical_span,
     rx_frontend,
 )
 from dmtlink.core import RealWaveform
@@ -33,6 +32,7 @@ from optical_reference import (
     optical_filter,
     photodiode,
 )
+from span_frame import span_captures
 
 
 def _tone_field(freq, n=8192, rate=64e9, amplitude=1.0):
@@ -81,7 +81,7 @@ class TestMzm:
 
 
 class TestWdmMux:
-    """The whole-bin mux of ``optical_span``, on a 256 GS/s grid of 8192 bins."""
+    """The whole-bin mux of ``compose``, on a 256 GS/s grid of 8192 bins."""
 
     N, RATE = 8192, 256e9
 
@@ -394,7 +394,7 @@ class TestOpticalSpan:
         assert _mean_power(spectrum) == pytest.approx(expected, rel=1e-12)
 
     def test_captures_at_receiver_rate(self):
-        captures = optical_span(self.LINK, self._drives(2), [0, 2], 5, occupied_bandwidth=64e9)
+        captures = span_captures(self.LINK, self._drives(2), [0, 2], 5, occupied_bandwidth=64e9)
         assert sorted(captures) == [0, 2]
         for capture in captures.values():
             assert capture.sample_rate == self.LINK.rx_sample_rate
@@ -403,13 +403,13 @@ class TestOpticalSpan:
     def test_aliasing_carrier_rejected(self):
         """Channel 0's laser, 448 bins low, cannot carry 640 bins of half-band."""
         with pytest.raises(ValueError, match="alias"):
-            optical_span(self.LINK, self._drives(1), [1], 0, occupied_bandwidth=160e9)
+            span_captures(self.LINK, self._drives(1), [1], 0, occupied_bandwidth=160e9)
 
     def test_drive_off_grid_rate_rejected(self):
         drives = self._drives(3)
         drives[2] = RealWaveform(drives[2].samples, 128e9)
         with pytest.raises(ValueError):
-            optical_span(self.LINK, drives, [1], 0, occupied_bandwidth=64e9)
+            span_captures(self.LINK, drives, [1], 0, occupied_bandwidth=64e9)
 
 
 class TestFadingProfile:
@@ -527,6 +527,12 @@ class TestLinkConfig:
     def test_span_lengths_positive(self):
         with pytest.raises(ValueError):
             LinkConfig(span_lengths_km=(80.0, -1.0))
+
+    def test_nan_osnr_rejected(self):
+        """A NaN OSNR is an error, not a noiseless link."""
+        with pytest.raises(ValueError, match="osnr_db"):
+            LinkConfig(osnr_db=float("nan"))
+        assert LinkConfig(osnr_db=np.inf).osnr_db == np.inf
 
     def test_auto_grid_rate(self):
         assert LinkConfig(n_channels=4, span_lengths_km=()).grid_rate == 256e9

@@ -661,7 +661,7 @@ class TestTableCommand:
                 "table",
                 "--scenario",
                 "4x112",
-                "--table-osnr-db",
+                "--osnr-db",
                 "30",
                 "--seed",
                 "2",

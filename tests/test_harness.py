@@ -14,7 +14,7 @@ import pytest
 import dmtlink.channel as channel_mod
 import dmtlink.harness as harness_mod
 from dmtlink import _spectral
-from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile, optical_span
+from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile
 from dmtlink.core import InfeasibleRateError, RealWaveform, SubcarrierPlan, frame_geometry
 from dmtlink.harness import (
     InfeasibleOsnrError,
@@ -38,6 +38,7 @@ from dmtlink.harness import (
 )
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 from search_reference import required_osnr_full_count
+from span_frame import span_captures
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -135,8 +136,8 @@ class TestNeighborhood:
             RealWaveform(_spectral.resample_real(rng.standard_normal(n // 4), n), full.grid_rate)
             for _ in range(3)
         ]
-        got = optical_span(full, {3 + j: d for j, d in enumerate(drives)}, [3, 4, 5], 0, 64e9)
-        want = optical_span(hood, dict(enumerate(drives)), [0, 1, 2], 0, 64e9)
+        got = span_captures(full, {3 + j: d for j, d in enumerate(drives)}, [3, 4, 5], 0, 64e9)
+        want = span_captures(hood, dict(enumerate(drives)), [0, 1, 2], 0, 64e9)
         for j in range(3):
             a = np.abs(np.fft.rfft(got[3 + j].samples))
             b = np.abs(np.fft.rfft(want[j].samples))
@@ -463,6 +464,17 @@ class TestProbeSteeredSearch:
         with pytest.raises(ValueError, match="tol_db"):
             required_osnr(_fast_optical(), tol_db=tol_db)
 
+    @pytest.mark.parametrize("bracket", [(10.0, float("inf")), (50.0, 10.0), (float("nan"), 50.0)])
+    def test_bracket_must_be_finite_and_increasing(self, monkeypatch, bracket):
+        """An infinite top would bisect forever: every midpoint is inf."""
+
+        def no_frame(*args):
+            raise AssertionError("a frame was sent")
+
+        monkeypatch.setattr(harness_mod, "_send", no_frame)
+        with pytest.raises(ValueError, match="bracket"):
+            required_osnr(_fast_optical(), bracket=bracket)
+
 
 class TestSearchPolicy:
     """The search's decisions on a stand-in link: a point loads from
@@ -472,7 +484,7 @@ class TestSearchPolicy:
     def _stand_in(monkeypatch, loads_db, passes_db):
         probed, counted = [], []
 
-        def train(sc, seed, held):
+        def train(sc, seed, sent):
             probed.append(sc.link.osnr_db)
             if sc.link.osnr_db < loads_db:
                 raise InfeasibleRateError("rate does not load")
@@ -522,29 +534,45 @@ class TestSharedProbe:
         return replace(sc, link=replace(sc.link, active_channels=lit))
 
     def test_each_point_captures_what_the_span_gives(self, monkeypatch):
-        """Every point's probe captures equal ``optical_span`` on the same
-        drives, OSNR and noise seed, bit for bit."""
-        composed, received = [], []
-        compose, receive = harness_mod.compose, harness_mod.receive
+        """Every point's probe captures equal a frame sent anew (``compose``,
+        ``noise_draws``, ``receive``) on the same drives, OSNR and noise
+        seed, bit for bit.  Frames of the count, which starts after the
+        probes, are not recorded."""
+        composed, seeds, received, counting = [], [], [], []
+        compose, draw = harness_mod.compose, harness_mod.noise_draws
+        receive, count = harness_mod.receive, harness_mod._count
 
         def recorded_compose(link, drives, *args):
-            composed.append(drives)
+            if not counting:
+                composed.append(drives)
             return compose(link, drives, *args)
 
-        def recorded_receive(link, composite, cut_power, rx_channels, noise_seed, *args):
-            captures = receive(link, composite, cut_power, rx_channels, noise_seed, *args)
-            received.append((link, list(rx_channels), noise_seed, dict(captures)))
+        def recorded_draws(link, n, rx_channels, noise_seed):
+            if not counting:
+                seeds.append(noise_seed)
+            return draw(link, n, rx_channels, noise_seed)
+
+        def recorded_receive(link, composite, cut_power, rx_channels, draws):
+            captures = receive(link, composite, cut_power, rx_channels, draws)
+            if not counting:
+                received.append((link, list(rx_channels), seeds[-1], dict(captures)))
             return captures
 
+        def recorded_count(*args):
+            counting.append(True)
+            return count(*args)
+
         monkeypatch.setattr(harness_mod, "compose", recorded_compose)
+        monkeypatch.setattr(harness_mod, "noise_draws", recorded_draws)
         monkeypatch.setattr(harness_mod, "receive", recorded_receive)
+        monkeypatch.setattr(harness_mod, "_count", recorded_count)
         sc = self._scenario()
         required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=1)
         assert len(composed) == 1
         assert len(received) == 1 + _probe_steps()
         assert len({link.osnr_db for link, *_ in received}) == len(received)
         for link, rx, noise_seed, captures in received:
-            want = optical_span(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)
+            want = span_captures(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)
             for ch in rx:
                 assert np.array_equal(captures[ch].samples, want[ch].samples), link.osnr_db
 
@@ -589,15 +617,82 @@ class TestSharedProbe:
         assert alive_at_count == [[False]]
 
 
+class TestOnePathPerFrame:
+    """Every frame is sent (``_send``), then received at its OSNR."""
+
+    def test_send_gives_the_same_arrays_at_two_osnrs_of_a_search(self):
+        sc = _search_scenario(19e9)
+        sent = []
+        for osnr_db in (30.0, 42.5):
+            point, run_seed = harness_mod._osnr_point(sc, osnr_db, 5)
+            plans = harness_mod._probe_plans(sc)
+            sent.append(harness_mod._send(point, plans, 0, run_seed, sc.link.lit_channels))
+        (frames_a, *arrays_a), (frames_b, *arrays_b) = sent
+        for ch, frame in frames_a.items():
+            assert np.array_equal(frame.waveform.samples, frames_b[ch].waveform.samples)
+            assert np.array_equal(frame.tx_bits, frames_b[ch].tx_bits)
+        composite_a, cut_power_a, draws_a = arrays_a
+        composite_b, cut_power_b, draws_b = arrays_b
+        assert np.array_equal(composite_a, composite_b)
+        assert cut_power_a == cut_power_b
+        assert draws_a is not None and np.array_equal(draws_a, draws_b)
+
+    def test_infinite_osnr_frame_draws_no_noise(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(harness_mod, "noise_draws", no_draw)
+        sc = _fast_optical(osnr_db=np.inf, reach_km=10.0)
+        plans = harness_mod._probe_plans(sc)
+        _frames, composite, _cut_power, draws = harness_mod._send(sc, plans, 0, 4, [1])
+        assert composite is not None and draws is None
+        received = harness_mod._transmit_once(sc, plans, 0, 4, [1], {})
+        assert set(received) == {1}
+
+    def test_finite_osnr_needs_the_draws(self):
+        sc = _fast_optical(osnr_db=30.0)
+        plans = harness_mod._probe_plans(sc)
+        _frames, composite, cut_power, _draws = harness_mod._send(sc, plans, 0, 4, [1])
+        with pytest.raises(ValueError, match="noise draws"):
+            channel_mod.receive(sc.link, composite, cut_power, [1], None)
+
+    @pytest.mark.parametrize("lit", [(1,), (0, 1, 2)])
+    def test_run_link_composes_and_receives_once_per_frame(self, monkeypatch, lit):
+        calls = {"frame": 0, "compose": 0, "receive": 0}
+        transmit, compose, receive = (
+            harness_mod._transmit_once,
+            harness_mod.compose,
+            harness_mod.receive,
+        )
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(harness_mod, "_transmit_once", counted("frame", transmit))
+        monkeypatch.setattr(harness_mod, "compose", counted("compose", compose))
+        monkeypatch.setattr(harness_mod, "receive", counted("receive", receive))
+        sc = _fast_optical(osnr_db=38.0, reach_km=10.0, min_bits=300_000, min_errors=10**9)
+        sc = replace(sc, link=replace(sc.link, active_channels=lit))
+        run_link(sc, seed=6)
+        payload_frames = math.ceil(sc.min_bits / sc.bits_per_frame)
+        assert calls == dict.fromkeys(calls, 1 + payload_frames)
+
+
 def _verdict_map(point):
     """One search's result, and whether the rate loads on a 0.125 dB grid
     of +-1 dB around it, at the search's seed."""
     det, seed = point
     sc = _search_scenario(det)
     value = required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=seed)
-    held = {}
+    point, run_seed = harness_mod._osnr_point(sc, value, seed)
+    plans = harness_mod._probe_plans(sc)
+    sent = harness_mod._send(point, plans, 0, run_seed, sc.link.lit_channels)
     verdicts = [
-        harness_mod._operable(harness_mod._train, *harness_mod._osnr_point(sc, x, seed), held)
+        harness_mod._operable(harness_mod._train, *harness_mod._osnr_point(sc, x, seed), sent)
         is not None
         for x in value + np.arange(-8, 9) * 0.125
     ]
@@ -655,6 +750,18 @@ class TestSweepReach:
             (19e9, (), 1e-3, 4),
             (19e9, (10.0,), 1e-3, 4),
         ]
+
+
+    @pytest.mark.parametrize("reach", [-50.0, -1e-9, float("nan")])
+    def test_negative_reach_rejected_before_any_frame(self, monkeypatch, reach):
+        """A reach below 0 km is an error naming it, not a back-to-back point."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(harness_mod, "required_osnr", no_search)
+        with pytest.raises(ValueError, match="reach"):
+            sweep_reach(_fast_optical(), [0.0, reach], [19e9], seed=3)
 
 
 class TestTableTypes:

@@ -1,9 +1,10 @@
 """The optical span's noise rule: its spectrum, drawn over the bins a receiver passes.
 
-``optical_span`` adds the DFT of white circular noise directly, with no
-transform: ``sqrt(n)*sigma*(re + 1j*im)`` per bin, from one
-``default_rng(seed).standard_normal(2*m)`` over the ``m`` bins where some
-receiving channel's port exceeds float64's epsilon, in ascending order.
+``receive`` adds the DFT of white circular noise directly, with no
+transform: ``sqrt(n)*sigma*(re + 1j*im)`` per bin, from the unit draws
+``noise_draws`` makes, one ``default_rng(seed).standard_normal(2*m)`` over
+the ``m`` bins where some receiving channel's port exceeds float64's
+epsilon, in ascending order.
 """
 
 from dataclasses import replace
@@ -17,6 +18,7 @@ from dmtlink.channel import (
     _add_osnr_noise,
     _mean_power,
     _span_operators,
+    noise_draws,
 )
 
 LINK = LinkConfig(n_channels=4, active_channels=(0, 1, 2), channel_under_test=1,
@@ -45,7 +47,8 @@ def test_in_band_bins_follow_the_draw_bit_for_bit(rx):
     assert np.array_equal(_bins(band), in_band)
 
     spectrum = np.zeros(n, dtype=np.complex128)
-    _add_osnr_noise(spectrum, band, LINK.grid_rate, osnr_db, power, seed)
+    unit = noise_draws(LINK, n, rx, seed)
+    _add_osnr_noise(spectrum, band, LINK.grid_rate, osnr_db, power, unit)
     m = in_band.size
     draws = np.random.default_rng(seed).standard_normal(2 * m)
     sigma = _sigma(power, osnr_db, LINK.grid_rate)
@@ -61,7 +64,8 @@ def test_unit_carrier_osnr_tracks_the_request(osnr_db):
     carrier[0] = n  # the DFT of a unit field
     band = _span_operators(LINK, n).noise_band([1])
     spectrum = carrier.copy()
-    _add_osnr_noise(spectrum, band, rate, osnr_db, _mean_power(carrier), seed=3)
+    draws = noise_draws(LINK, n, [1], 3)
+    _add_osnr_noise(spectrum, band, rate, osnr_db, _mean_power(carrier), draws)
     noise = (spectrum - carrier)[_bins(band)]
     noise_power = np.vdot(noise, noise).real / n**2
     density = noise_power / (noise.size * rate / n)

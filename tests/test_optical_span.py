@@ -1,4 +1,7 @@
-"""Property tests: ``optical_span`` against the time-domain chain it replaces.
+"""Property tests: the optical span against the time-domain chain it replaces.
+
+The span is ``compose``, ``noise_draws`` and ``receive``, one frame sent and
+received as the harness does it (``span_frame.span_captures``).
 
 The reference below runs the stages of ``optical_reference.py``, the chain
 the harness used to run, with two changes:
@@ -20,9 +23,10 @@ import numpy as np
 import pytest
 
 from dmtlink import _spectral
-from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, LinkConfig, optical_span, rx_frontend
+from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, LinkConfig, rx_frontend
 from dmtlink.core import RealWaveform
 from optical_reference import OpticalField, fiber_cd, mzm, optical_filter, photodiode
+from span_frame import span_captures
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -114,7 +118,7 @@ def test_span_matches_time_domain_chain(case):
         )
         for ch in link.lit_channels
     }
-    got = optical_span(link, drives, rx, seed, occupied_bandwidth=DAC_RATE)
+    got = span_captures(link, drives, rx, seed, occupied_bandwidth=DAC_RATE)
     want = _reference_span(link, drives, rx, seed)
     assert sorted(got) == sorted(want)
     for ch, samples in want.items():

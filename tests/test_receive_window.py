@@ -1,6 +1,6 @@
 """Each receiver detects on its own passband: a 2-3-5-smooth grid, not the frame.
 
-``optical_span`` lays the bins a receiver's port passes onto a detection
+``receive`` lays the bins a receiver's port passes onto a detection
 grid of length ``L``, the smallest 2-3-5-smooth length of at least
 ``W + K`` (``W`` passed bins, ``K`` kept capture bins), and detects there.
 The checks below pin the transform budget this buys, compare the captures
@@ -23,12 +23,13 @@ from dmtlink.channel import (
     _mux_add,
     _smooth_length,
     _span_operators,
-    optical_span,
+    noise_draws,
     rx_frontend,
 )
 from dmtlink.core import RealWaveform, SubcarrierPlan
 from dmtlink.harness import ScenarioConfig
 from optical_reference import OpticalField, photodiode
+from span_frame import span_captures
 
 GRID_POINTS = 1_031_680  # one frame on the 256 GS/s composite grid
 DAC_RATE = 64e9
@@ -104,7 +105,8 @@ def _full_grid_captures(link, drives, rx, seed):
     operators.disperse(composite)
     if np.isfinite(link.osnr_db):
         power = _mean_power(composite) if cut_power is None else cut_power
-        _add_osnr_noise(composite, operators.noise_band(rx), rate, link.osnr_db, power, seed)
+        draws = noise_draws(link, n, rx, seed)
+        _add_osnr_noise(composite, operators.noise_band(rx), rate, link.osnr_db, power, draws)
     captures = {}
     for ch in rx:
         field = OpticalField(np.fft.ifft(composite * operators.receive_port(ch)), rate)
@@ -134,7 +136,7 @@ def test_captures_match_full_grid_detection(name):
         )
         for ch in link.lit_channels
     }
-    got = optical_span(link, drives, rx, 21, occupied_bandwidth=DAC_RATE)
+    got = span_captures(link, drives, rx, 21, occupied_bandwidth=DAC_RATE)
     want = _full_grid_captures(link, drives, rx, 21)
     for ch in rx:
         peak = np.max(np.abs(want[ch].samples))

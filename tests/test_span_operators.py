@@ -1,9 +1,9 @@
 """The optical span's per-link operators, against a cold build.
 
-``optical_span`` builds its dispersion factor and receive ports the first
-time a link needs them and keeps them for the most recent link.  A warm
-cache, or one that another link has evicted, must give the cold build's
-captures bit for bit.
+The span (``compose``, ``noise_draws``, ``receive``) builds its dispersion
+factor and receive ports the first time a link needs them and keeps them
+for the most recent link.  A warm cache, or one that another link has
+evicted, must give the cold build's captures bit for bit.
 """
 
 from dataclasses import replace
@@ -17,9 +17,9 @@ from dmtlink.channel import (
     _dispersion_phase,
     _grid_frequencies,
     _span_operators,
-    optical_span,
 )
 from dmtlink.core import RealWaveform
+from span_frame import span_captures
 
 DAC_RATE = 64e9
 
@@ -60,7 +60,7 @@ def _captures(link, n, rx, seed):
         ch: RealWaveform(_spectral.resample_real(rng.standard_normal(n // 4), n), link.grid_rate)
         for ch in link.lit_channels
     }
-    out = optical_span(link, drives, rx, seed, occupied_bandwidth=DAC_RATE)
+    out = span_captures(link, drives, rx, seed, occupied_bandwidth=DAC_RATE)
     return [out[ch].samples for ch in rx]
 
 
