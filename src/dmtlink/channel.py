@@ -9,6 +9,15 @@ detects each receiver on a grid that holds only its own passband.  Only
 same pieces (the modulator transfer, the dispersion phase and the filter
 responses) with one tone at a time.
 
+What a frame holds: its composite, a full two-sided spectrum of the grid
+(16.5 MB at 1,031,680 bins), is the one grid-sized array that lives from
+``compose`` to ``receive``.  Beside it, ``compose`` holds one channel at a
+time, in one buffer of the composite's size where that channel's drive,
+field and launched spectrum are built in turn; the launch port is
+evaluated in blocks of bins, so no grid-sized frequency or port array
+exists.  ``receive`` adds the noise draws and one receiver's detection
+grid at a time.
+
 Sign conventions, documented once here:
 
 * The Mach-Zehnder transfer is ``E = sin(pi * (v + bias) / (2 * vpi))``; the
@@ -190,6 +199,21 @@ class LinkConfig:
         for idx in self.lit_channels:
             if not 0 <= idx < self.n_channels:
                 raise ValueError(f"active channel {idx} outside comb of {self.n_channels}")
+        for port, fields in (
+            (self.interleaver, f"il_fwhm={self.il_fwhm:g}, il_order={self.il_order}, "
+             f"il_fsr={self.il_fsr:g}"),
+            (self.demux, f"demux_fwhm={self.demux_fwhm:g}, demux_order={self.demux_order}"),
+        ):
+            try:
+                port(cut)
+            except ValueError as exc:
+                raise ValueError(f"{fields}: {exc}") from None
+        if not self.rx_bandwidth > 0:
+            raise ValueError(f"rx_bandwidth must be positive, got {self.rx_bandwidth:g}")
+        if not 0 < self.rx_sample_rate <= rate:
+            raise ValueError(
+                f"rx_sample_rate must lie in (0, grid rate {rate:g}], got {self.rx_sample_rate:g}"
+            )
 
     @property
     def channel_centers(self) -> np.ndarray:
@@ -253,17 +277,23 @@ def _mzm_transfer(
     pushed through ``E = sin(pi * (v + bias) / (2 * vpi))`` with
     ``bias = -min(v) + bias_margin * vpi``: the lowest drive sample sits just
     above the field null, keeping the envelope non-negative while staying
-    close to the linear low-bias operating point.
+    close to the linear low-bias operating point.  Works in place:
+    ``samples`` becomes the field, and is returned.
     """
     if not 0 < drive_swing <= 1:
         raise ValueError("drive_swing must lie in (0, 1]")
-    peak = np.max(np.abs(samples))
-    v = samples * (drive_swing * vpi / peak if peak > 0 else 1.0)
-    # sin(pi * (v + bias) / (2 * vpi)), worked in place
+    peak = max(np.max(samples), -np.min(samples))  # max |v|, with no temporary
+    v = samples
+    v *= drive_swing * vpi / peak if peak > 0 else 1.0
+    # sin(pi * (v + bias) / (2 * vpi))
     v += -np.min(v) + bias_margin * vpi
     v *= np.pi
     v /= 2.0 * vpi
     return np.sin(v, out=v)
+
+
+_PORT_BLOCK = 65_536
+"""Bins per block of a launch port: 0.5 MB per block array on any grid."""
 
 
 def _grid_frequencies(n: int, sample_rate: float) -> np.ndarray:
@@ -388,23 +418,42 @@ def _smooth_length(m: int) -> int:
 
 
 def _launch(
-    link: LinkConfig, channel: int, drive: RealWaveform, freq: np.ndarray, duration: float
+    link: LinkConfig, channel: int, waveform: RealWaveform, duration: float
 ) -> tuple[np.ndarray, int]:
     """One channel's modulated spectrum after its interleaver port.
 
-    Returns the full (two-sided) spectrum, centered on the channel's laser,
-    and the laser's position on the composite grid in whole bins.
+    The whole launch works in the one buffer that ends as the spectrum: the
+    DAC (``txdsp.dac``'s resampler; a grid-rate drive passes unchanged)
+    writes the drive into its upper half, spending its lower half on the
+    resized spectrum; the modulator turns the drive into the field in
+    place; the field's ``rfft`` lands in the lower half, and its mirror
+    overwrites the spent field.  The port multiplies the spectrum in blocks
+    of ``_PORT_BLOCK`` bins, each block's absolute frequencies taken from
+    its bin indices and the laser's position, so no grid-sized frequency or
+    port array is built.  Returns the full (two-sided) spectrum, centered on
+    the channel's laser, and the laser's position on the composite grid in
+    whole bins.
     """
-    n = drive.samples.size
-    spectrum = np.empty(n, dtype=np.complex128)
-    np.fft.rfft(
-        _mzm_transfer(drive.samples, link.vpi, link.drive_swing, link.mzm_bias_margin),
-        out=spectrum[: n // 2 + 1],
-    )
+    rate = link.grid_rate
+    n = _spectral.output_length(waveform.samples.size, waveform.sample_rate, rate)
+    buffer = np.empty(n + 1, dtype=np.complex128)  # one spare bin: 2n + 2 floats
+    spectrum, half = buffer[:n], buffer[: n // 2 + 1]
+    field = buffer.view(np.float64)[n + 2 :]  # clear of the rfft's n + 2 floats
+    _spectral.resample_real(waveform.samples, n, out=field, work=half)
+    _mzm_transfer(field, link.vpi, link.drive_swing, link.mzm_bias_margin)
+    np.fft.rfft(field, out=half)
     # the field is real, so its negative frequencies mirror the positive ones
     np.conjugate(spectrum[(n - 1) // 2 : 0 : -1], out=spectrum[n // 2 + 1 :])
     shift = round((float(link.channel_centers[channel]) + link.detuning) * duration)
-    spectrum *= link.interleaver(channel).amplitude_response(freq + shift / duration)
+    port = link.interleaver(channel)
+    bin_width = 1.0 / (n * (1.0 / rate))  # np.fft.fftfreq's spacing, to the bit
+    offset = shift / duration
+    for start in range(0, n, _PORT_BLOCK):
+        signed = np.arange(start, min(start + _PORT_BLOCK, n))
+        signed[signed > (n - 1) // 2] -= n  # fftfreq's bin order
+        freq = signed * bin_width
+        freq += offset
+        spectrum[start : start + freq.size] *= port.amplitude_response(freq)
     return spectrum, shift
 
 
@@ -505,25 +554,32 @@ def _span_operators(link: LinkConfig, n: int) -> _SpanOperators:
 
 
 def compose(
-    link: LinkConfig, drives: dict, rx_channels, occupied_bandwidth: float
+    link: LinkConfig, waveforms: dict, rx_channels, occupied_bandwidth: float
 ) -> tuple[np.ndarray, float | None]:
     """Launch, multiplex and disperse one frame: the span's noiseless composite.
 
     Between the modulator and the photodiode, the only nonlinear steps, the
     span is linear and diagonal in frequency over one circular frame, so it
-    runs on one composite spectrum.  Each channel's field is transformed
-    once, shaped by its interleaver port and moved onto its laser by a
-    whole-bin shift; the sum takes the dispersion phase.  The dispersion
+    runs on one composite spectrum.  Each channel in turn is brought to the
+    grid rate by the DAC, modulated and transformed once, shaped by its
+    interleaver port and moved onto its laser by a whole-bin shift; the sum
+    takes the dispersion phase.  The dispersion
     factor, the receive ports and each receive set's noise band are built
     the first time a link needs them and kept, read-only, for the most
     recent link.
+
+    What is alive at once: the composite and the one launch buffer of the
+    channel being launched (``_launch``), each the composite's size; never
+    two channels' arrays, whatever the number of lit channels.
 
     Parameters
     ----------
     link : LinkConfig
         Geometry, filters and fiber; the OSNR plays no part here.
-    drives : dict
-        Lit channel -> its DAC drive, one frame at ``link.grid_rate``.
+    waveforms : dict
+        Lit channel -> its clipped drive waveform, one frame, at the DAC
+        rate or any rate up to ``link.grid_rate`` that gives every channel
+        the same grid length.
     rx_channels : iterable of int
         The receivers whose ports a link's first frame builds, before any
         of the frame's own grid-sized arrays exists.
@@ -536,23 +592,26 @@ def compose(
     under test (``None`` when that channel is dark).
     """
     rate = link.grid_rate
-    n = next(iter(drives.values())).samples.size
-    if any(d.sample_rate != rate or d.samples.size != n for d in drives.values()):
-        raise ValueError("every drive must be one frame of equal length at the grid rate")
+    if any(w.sample_rate > rate for w in waveforms.values()):
+        raise ValueError("a drive waveform's rate must not exceed the grid rate")
+    lengths = {
+        _spectral.output_length(w.samples.size, w.sample_rate, rate) for w in waveforms.values()
+    }
+    if len(lengths) != 1:
+        raise ValueError("every waveform must be one frame of equal duration")
+    (n,) = lengths
     duration = n / rate
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     for ch in rx_channels:  # a cold build runs before the frame's grid-sized arrays exist
         operators.receive_window(ch)
-    freq = _grid_frequencies(n, rate)
     composite = np.zeros(n, dtype=np.complex128)
     cut_power = None
-    for ch, drive in drives.items():
-        spectrum, shift = _launch(link, ch, drive, freq, duration)
+    for ch, waveform in waveforms.items():
+        spectrum, shift = _launch(link, ch, waveform, duration)
         if ch == link.cut_index:
             cut_power = _mean_power(spectrum)
         _mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
         del spectrum  # one launched spectrum alive at a time
-    del freq
     operators.disperse(composite)
     return composite, cut_power
 
@@ -631,6 +690,7 @@ def receive(
         captures[ch] = _capture(
             spectrum, n, rate, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
         )
+        del spectrum
     return captures
 
 

@@ -74,7 +74,7 @@ from .rxdsp import (
     schmidl_cox_sync,
     sqrt_linearize,
 )
-from .txdsp import clip, dac, modulate_frame
+from .txdsp import clip, modulate_frame
 
 __all__ = [
     "InfeasibleOsnrError",
@@ -316,15 +316,12 @@ def _send(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
         frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
     if sc.loopback:
         return frames, None, None, None
-    drives = {
-        ch: dac(clip(frame.waveform, dmt.clipping_ratio_db), link.grid_rate)
-        for ch, frame in frames.items()
-    }
     # The modulated content spans the DAC Nyquist band around each laser
-    # (the drive was upsampled before the modulator, so there is headroom
-    # for its weak harmonics but the occupied band is still the DAC's).
-    composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
-    del drives
+    # (compose upsamples each drive before its modulator, so there is
+    # headroom for its weak harmonics, but the occupied band is the DAC's).
+    waveforms = {ch: clip(frame.waveform, dmt.clipping_ratio_db) for ch, frame in frames.items()}
+    composite, cut_power = compose(link, waveforms, rx_channels, dmt.dac_rate)
+    del waveforms
     draws = None
     if np.isfinite(link.osnr_db):
         draws = noise_draws(link, composite.size, rx_channels, _seed_int(seed, stage, 303))

@@ -90,19 +90,30 @@ def symbols_to_waveform(freq_symbols: np.ndarray, cfg: DmtConfig) -> RealWavefor
     subcarrier (FFT bins 1..n_data_subcarriers); DC, padding, and Nyquist
     bins are zero.  Output is real by construction and linear in the input.
     """
+    return RealWaveform(_symbol_rows(freq_symbols, cfg).reshape(-1), cfg.dac_rate)
+
+
+def _symbol_rows(freq_symbols: np.ndarray, cfg: DmtConfig) -> np.ndarray:
+    """``symbols_to_waveform``'s samples, one writable row per symbol.
+
+    Each row is the symbol's cyclic prefix then its body: the ``irfft``
+    writes the bodies into the one buffer, which is scaled in place, and
+    each prefix is copied from its own row.
+    """
     freq_symbols = np.atleast_2d(np.asarray(freq_symbols, dtype=np.complex128))
     n_symbols, n_sc = freq_symbols.shape
     if n_sc != cfg.n_data_subcarriers:
         raise ValueError(
             f"expected {cfg.n_data_subcarriers} subcarriers per symbol, got {n_sc}"
         )
-    n = cfg.fft_size
+    n, cp = cfg.fft_size, cfg.cp_length
     spectrum = np.zeros((n_symbols, n // 2 + 1), dtype=np.complex128)
     spectrum[:, 1 : n_sc + 1] = freq_symbols
-    bodies = np.fft.irfft(spectrum, n=n, axis=1) * math.sqrt(n)
-    cp = cfg.cp_length
-    with_cp = np.concatenate([bodies[:, n - cp :], bodies], axis=1)
-    return RealWaveform(with_cp.reshape(-1), cfg.dac_rate)
+    rows = np.empty((n_symbols, cp + n))
+    bodies = np.fft.irfft(spectrum, n=n, axis=1, out=rows[:, cp:])
+    bodies *= math.sqrt(n)
+    rows[:, :cp] = rows[:, n:]
+    return rows
 
 
 def modulate_frame(
@@ -138,15 +149,14 @@ def modulate_frame(
 
     ts_rows = build_training_symbols(cfg, seed)
     freq_symbols = np.vstack([ts_rows, data_rows])
-    waveform = symbols_to_waveform(freq_symbols, cfg)
+    rows = _symbol_rows(freq_symbols, cfg)
 
     # splice the tiled TS1 body (and its prefix) for bitwise half-symmetry
-    samples = np.array(waveform.samples)
     body = _ts1_body(ts_rows[0], cfg)
     cp = cfg.cp_length
-    samples[:cp] = body[-cp:]
-    samples[cp : cp + cfg.fft_size] = body
-    waveform = RealWaveform(samples, cfg.dac_rate)
+    rows[0, :cp] = body[-cp:]
+    rows[0, cp:] = body
+    waveform = RealWaveform(rows.reshape(-1), cfg.dac_rate)
 
     return DmtFrame(tx_bits=payload_bits, frequency_symbols=freq_symbols, waveform=waveform)
 

@@ -6,7 +6,8 @@ photodiode.  The arithmetic (the modulator transfer, the dispersion phase,
 the noise draw) is written out here rather than taken from ``dmtlink``, so
 a fault in the package's frequency-domain pieces cannot hide in both.  Only
 the filter shape, the waveform type and the two physical constants are
-shared.
+shared.  The last section keeps the package's earlier full-grid launch and
+multiplexer, the oracle that ``compose`` must match byte for byte.
 
 All fields are complex baseband envelopes.  ``OpticalField.center_offset``
 records the absolute frequency (relative to the WDM grid center) that the
@@ -14,11 +15,17 @@ field's own zero frequency corresponds to, so filters and dispersion are
 evaluated in absolute grid coordinates whichever hop produced the field.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, SPEED_OF_LIGHT, FilterSpec
+from dmtlink.channel import (
+    OSNR_REFERENCE_BANDWIDTH,
+    SPEED_OF_LIGHT,
+    FilterSpec,
+    _mean_power,
+    _span_operators,
+)
 from dmtlink.core import RealWaveform, _freeze
 
 
@@ -109,3 +116,52 @@ def load_noise_to_osnr(field, osnr_db, seed, reference_power=None):
 def photodiode(field: OpticalField) -> RealWaveform:
     """Square-law detection with unit responsivity."""
     return RealWaveform(np.abs(field.samples) ** 2, field.sample_rate)
+
+
+# The launch and the multiplexer as the package wrote them on the full grid,
+# before ``compose`` evaluated the launch port in blocks: every channel's
+# drive at the grid rate, a grid-sized ``freq`` and port per channel.  They
+# are the byte-identity oracle of ``compose`` (``full_grid_compose``).
+
+
+def _full_grid_launch(link, channel, drive, freq, duration):
+    """One channel's modulated spectrum after its interleaver port (full grid)."""
+    samples = drive.samples
+    peak = np.max(np.abs(samples))
+    v = samples * (link.drive_swing * link.vpi / peak if peak > 0 else 1.0)
+    v += -np.min(v) + link.mzm_bias_margin * link.vpi
+    v *= np.pi
+    v /= 2.0 * link.vpi
+    n = drive.samples.size
+    spectrum = np.empty(n, dtype=np.complex128)
+    np.fft.rfft(np.sin(v, out=v), out=spectrum[: n // 2 + 1])
+    np.conjugate(spectrum[(n - 1) // 2 : 0 : -1], out=spectrum[n // 2 + 1 :])
+    shift = round((float(link.channel_centers[channel]) + link.detuning) * duration)
+    spectrum *= link.interleaver(channel).amplitude_response(freq + shift / duration)
+    return spectrum, shift
+
+
+def _full_grid_mux_add(composite, spectrum, shift, half_band_bins):
+    """Add one channel's spectrum to the composite, moved up by ``shift`` bins."""
+    if abs(shift) + half_band_bins > composite.size / 2:
+        raise ValueError("carrier would alias")
+    split = shift % composite.size
+    composite[split:] += spectrum[: composite.size - split]
+    composite[:split] += spectrum[composite.size - split :]
+
+
+def full_grid_compose(link, drives, occupied_bandwidth):
+    """``(composite, cut_power)`` of grid-rate ``drives``, every array full-grid."""
+    rate = link.grid_rate
+    n = next(iter(drives.values())).samples.size
+    duration = n / rate
+    freq = np.fft.fftfreq(n, d=1.0 / rate)
+    composite = np.zeros(n, dtype=np.complex128)
+    cut_power = None
+    for ch, drive in drives.items():
+        spectrum, shift = _full_grid_launch(link, ch, drive, freq, duration)
+        if ch == link.cut_index:
+            cut_power = _mean_power(spectrum)
+        _full_grid_mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
+    _span_operators(replace(link, osnr_db=np.inf), n).disperse(composite)
+    return composite, cut_power

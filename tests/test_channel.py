@@ -16,7 +16,6 @@ from dmtlink.channel import (
     FilterSpec,
     LinkConfig,
     SPEED_OF_LIGHT,
-    _grid_frequencies,
     _launch,
     _mean_power,
     _mux_add,
@@ -385,7 +384,7 @@ class TestOpticalSpan:
         link, rate = self.LINK, self.LINK.grid_rate
         drive = self._drives(4)[channel]
         duration = self.N / rate
-        spectrum, shift = _launch(link, channel, drive, _grid_frequencies(self.N, rate), duration)
+        spectrum, shift = _launch(link, channel, drive, duration)
         field = mzm(
             drive, vpi=link.vpi, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin
         )

@@ -651,6 +651,33 @@ class TestSeedAndWorkerCounts:
         assert not out.exists()
 
 
+class TestFilterAndReceiverSettings:
+    """A filter or receiver setting that cannot run is a config error naming
+    its field, before any frame is sent or output written (these ran into a
+    traceback mid-run, or, for a negative bandwidth, ran as its magnitude)."""
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("demux_fwhm_ghz", -3, "demux_fwhm=-3e+09"),
+            ("il_order", 0, "il_order=0"),
+            ("il_fwhm_ghz", 150, "il_fwhm=1.5e+11"),
+            ("rx_sample_rate_gsps", 400, "rx_sample_rate must"),
+            ("rx_sample_rate_gsps", 0, "rx_sample_rate must"),
+            ("rx_bandwidth_ghz", -5, "rx_bandwidth must"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, key, value, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTableCommand:
     """The ``table`` subcommand: filtering, pass/fail, exit codes."""
 

@@ -94,11 +94,10 @@ def _full_grid_captures(link, drives, rx, seed):
     """The span's captures, each receiver detected on the whole frame."""
     rate, n = link.grid_rate, next(iter(drives.values())).samples.size
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
-    freq = np.fft.fftfreq(n, d=1.0 / rate)
     composite = np.zeros(n, dtype=np.complex128)
     cut_power = None
     for ch, drive in drives.items():
-        spectrum, shift = _launch(link, ch, drive, freq, n / rate)
+        spectrum, shift = _launch(link, ch, drive, n / rate)
         if ch == link.cut_index:
             cut_power = _mean_power(spectrum)
         _mux_add(composite, spectrum, shift, DAC_RATE / 2 * n / rate)
