@@ -41,6 +41,7 @@ import numpy as np
 
 from . import _spectral
 from .core import RealWaveform, _freeze
+from .txdsp import dac_length, dac_samples
 
 __all__ = [
     "FilterSpec",
@@ -423,8 +424,8 @@ def _launch(
     """One channel's modulated spectrum after its interleaver port.
 
     The whole launch works in the one buffer that ends as the spectrum: the
-    DAC (``txdsp.dac``'s resampler; a grid-rate drive passes unchanged)
-    writes the drive into its upper half, spending its lower half on the
+    DAC (``txdsp.dac_samples``; a grid-rate drive passes unchanged) writes
+    the drive into its upper half, spending its lower half on the
     resized spectrum; the modulator turns the drive into the field in
     place; the field's ``rfft`` lands in the lower half, and its mirror
     overwrites the spent field.  The port multiplies the spectrum in blocks
@@ -435,11 +436,11 @@ def _launch(
     whole bins.
     """
     rate = link.grid_rate
-    n = _spectral.output_length(waveform.samples.size, waveform.sample_rate, rate)
+    n = dac_length(waveform, rate)
     buffer = np.empty(n + 1, dtype=np.complex128)  # one spare bin: 2n + 2 floats
     spectrum, half = buffer[:n], buffer[: n // 2 + 1]
     field = buffer.view(np.float64)[n + 2 :]  # clear of the rfft's n + 2 floats
-    _spectral.resample_real(waveform.samples, n, out=field, work=half)
+    dac_samples(waveform, rate, out=field, work=half)
     _mzm_transfer(field, link.vpi, link.drive_swing, link.mzm_bias_margin)
     np.fft.rfft(field, out=half)
     # the field is real, so its negative frequencies mirror the positive ones
@@ -577,9 +578,9 @@ def compose(
     link : LinkConfig
         Geometry, filters and fiber; the OSNR plays no part here.
     waveforms : dict
-        Lit channel -> its clipped drive waveform, one frame, at the DAC
-        rate or any rate up to ``link.grid_rate`` that gives every channel
-        the same grid length.
+        Lit channel -> its clipped drive waveform, one frame of equal length
+        at one rate: the DAC rate, or ``link.grid_rate``, which the DAC
+        passes unchanged.
     rx_channels : iterable of int
         The receivers whose ports a link's first frame builds, before any
         of the frame's own grid-sized arrays exists.
@@ -592,14 +593,13 @@ def compose(
     under test (``None`` when that channel is dark).
     """
     rate = link.grid_rate
-    if any(w.sample_rate > rate for w in waveforms.values()):
-        raise ValueError("a drive waveform's rate must not exceed the grid rate")
-    lengths = {
-        _spectral.output_length(w.samples.size, w.sample_rate, rate) for w in waveforms.values()
-    }
-    if len(lengths) != 1:
-        raise ValueError("every waveform must be one frame of equal duration")
-    (n,) = lengths
+    first = next(iter(waveforms.values()))
+    if any(
+        w.sample_rate != first.sample_rate or w.samples.size != first.samples.size
+        for w in waveforms.values()
+    ):
+        raise ValueError("every waveform must be one frame of equal length at one rate")
+    n = dac_length(first, rate)
     duration = n / rate
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     for ch in rx_channels:  # a cold build runs before the frame's grid-sized arrays exist

@@ -31,6 +31,8 @@ __all__ = [
     "modulate_frame",
     "clip",
     "dac",
+    "dac_length",
+    "dac_samples",
 ]
 
 
@@ -173,7 +175,22 @@ def clip(w: RealWaveform, clipping_ratio_db: float) -> RealWaveform:
 
 def dac(w: RealWaveform, grid_rate: float) -> RealWaveform:
     """Band-limited interpolation of the digital signal onto the optical grid."""
+    return RealWaveform(dac_samples(w, grid_rate), grid_rate)
+
+
+def dac_length(w: RealWaveform, grid_rate: float) -> int:
+    """Samples of ``dac(w, grid_rate)``: ``w``'s frame on the optical grid."""
     if grid_rate < w.sample_rate:
         raise ValueError("grid_rate must be >= the waveform sample rate")
-    n_out = _spectral.output_length(w.samples.size, w.sample_rate, grid_rate)
-    return RealWaveform(_spectral.resample_real(w.samples, n_out), grid_rate)
+    return _spectral.output_length(w.samples.size, w.sample_rate, grid_rate)
+
+
+def dac_samples(w: RealWaveform, grid_rate: float, out=None, work=None) -> np.ndarray:
+    """``dac``'s samples as a bare array, written into ``out`` when given.
+
+    ``out`` (``dac_length`` floats) and ``work`` (``dac_length // 2 + 1``
+    complex bins) let a caller build the drive in buffers of its own
+    (``_spectral.resample_real``); a waveform already at the grid rate is
+    copied unchanged.
+    """
+    return _spectral.resample_real(w.samples, dac_length(w, grid_rate), out, work)

@@ -283,7 +283,8 @@ class TestTransmitOnceFilterResponses:
         """With the link's operators cached, a frame builds one response per lit channel.
 
         The receive ports and the dispersion factor are kept across the
-        frames of a link (the per-frame build made 5 and 3 calls).
+        frames of a link (the per-frame build made 5 and 3 calls).  Each
+        launch port, evaluated in blocks, covers the grid's bins once.
         """
         link = LinkConfig(
             n_channels=4,
@@ -296,16 +297,20 @@ class TestTransmitOnceFilterResponses:
         plans = {ch: SubcarrierPlan.uniform(sc.dmt.n_data_subcarriers, bits=2) for ch in lit}
         harness_mod._transmit_once(sc, plans, 1, 4, [1], {})  # warms the cache
 
-        calls = set()  # the filters evaluated; a launch port takes one call per block
+        points = {}  # filter -> the frequencies it was evaluated at
         original = FilterSpec.amplitude_response
 
         def counted(self, freq):
-            calls.add(self)
+            points[self] = points.get(self, 0) + np.size(freq)
             return original(self, freq)
 
         monkeypatch.setattr(FilterSpec, "amplitude_response", counted)
         harness_mod._transmit_once(sc, plans, 2, 4, [1], {})
-        assert len(calls) == expected
+        n = _spectral.output_length(
+            frame_geometry(sc.dmt).samples_per_frame, sc.dmt.dac_rate, link.grid_rate
+        )
+        assert len(points) == expected
+        assert points == {link.interleaver(ch): n for ch in lit}
 
 
 class TestEvaluatePoint:

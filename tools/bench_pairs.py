@@ -4,16 +4,17 @@ Each pair runs the benchmark once in a parent tree and once in a change tree
 (two source checkouts, e.g. from ``git archive``), on the same seed, and
 alternates which side runs first: the parent on even pair indices.  Traced
 pairs (``--trace 1``, per-layer metrics) follow the plain ones on the next
-seeds.  Standard library only.  From the root of a checkout::
+seeds.  Each run lasts ``run_seconds`` of the change tree's
+``BENCHMARK.json``.  Standard library only.  From the root of a checkout::
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload wdm_run \\
         --pairs 10 --first-seed 2101 --traced 1 \\
         --parent-label "abc1234 (before)" --change-label "what changed"
 
-The file is rewritten after every run, so an interrupted run keeps its
-finished pairs.  The summary printed at the end gives, per end-to-end metric,
-each side's median and quartiles and the number of pairs where the change
-reads lower.
+``BENCH_<workload>.json`` is written in the current directory and rewritten
+after every run, so an interrupted run keeps its finished pairs.  The summary
+printed at the end gives, per end-to-end metric, each side's median and
+quartiles and the number of pairs where the change reads lower.
 """
 
 from __future__ import annotations
@@ -74,17 +75,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--traced", type=int, default=0, help="traced pairs after the plain ones")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--parent-label", required=True)
     parser.add_argument("--change-label", required=True)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json here")
     args = parser.parse_args(argv)
-    out = args.out or Path(f"BENCH_{args.workload}.json")
+    out = Path(f"BENCH_{args.workload}.json")
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
 
     record = {
         "workload": args.workload,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {args.seconds:g} --trace T",
+                   f"--seconds {seconds:g} --trace T",
         "machine": machine(args.change),
         "sides": {"parent": args.parent_label, "change": args.change_label},
         "order": ORDER,
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         pair = {"seed": seed}
         sides = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in sides:
-            pair[side] = run_side(getattr(args, side), args.workload, seed, args.seconds, trace)
+            pair[side] = run_side(getattr(args, side), args.workload, seed, seconds, trace)
             print(f"{key} seed {seed} {side}: "
                   + ", ".join(f"{k} {v['value']:.4g}"
                               for k, v in list(pair[side]["metrics"].items())[:4]),
