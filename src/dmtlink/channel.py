@@ -35,7 +35,7 @@ Sign conventions, documented once here:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "end_to_end_fading_profile",
     "noise_draws",
     "receive",
-    "rx_frontend",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -182,10 +181,15 @@ class LinkConfig:
             raise ValueError(f"n_channels must be in [4, 8], got {self.n_channels}")
         if not self.lit_channels:
             raise ValueError("at least one channel must be lit")
-        if np.isnan(self.osnr_db):
-            raise ValueError("osnr_db must be a number of dB or inf (noiseless), got nan")
-        if any(length <= 0 for length in self.span_lengths_km):
-            raise ValueError("every span length must be positive")
+        for f in fields(self):  # an int is always finite
+            value = getattr(self, f.name)
+            noiseless = f.name == "osnr_db" and value == np.inf
+            if isinstance(value, float) and not (np.isfinite(value) or noiseless):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if not all(0 < length < np.inf for length in self.span_lengths_km):
+            raise ValueError(
+                f"span_lengths_km must hold positive, finite lengths, got {self.span_lengths_km}"
+            )
         if not 0 < self.drive_swing <= 1:
             raise ValueError("drive_swing must lie in (0, 1]")
         rate = self.grid_rate
@@ -200,7 +204,7 @@ class LinkConfig:
         for idx in self.lit_channels:
             if not 0 <= idx < self.n_channels:
                 raise ValueError(f"active channel {idx} outside comb of {self.n_channels}")
-        for port, fields in (
+        for port, shape in (
             (self.interleaver, f"il_fwhm={self.il_fwhm:g}, il_order={self.il_order}, "
              f"il_fsr={self.il_fsr:g}"),
             (self.demux, f"demux_fwhm={self.demux_fwhm:g}, demux_order={self.demux_order}"),
@@ -208,7 +212,7 @@ class LinkConfig:
             try:
                 port(cut)
             except ValueError as exc:
-                raise ValueError(f"{fields}: {exc}") from None
+                raise ValueError(f"{shape}: {exc}") from None
         if not self.rx_bandwidth > 0:
             raise ValueError(f"rx_bandwidth must be positive, got {self.rx_bandwidth:g}")
         if not 0 < self.rx_sample_rate <= rate:
@@ -348,26 +352,6 @@ def _mean_power(spectrum: np.ndarray) -> float:
     return float(np.vdot(spectrum, spectrum).real) / spectrum.size**2
 
 
-def rx_frontend(
-    w: RealWaveform,
-    bandwidth: float = 29.4e9,
-    out_rate: float = 80e9,
-    quantize_bits: int | None = None,
-) -> RealWaveform:
-    """Receiver front end: band-limit, capture, optionally quantize.
-
-    The front end applies a zero-phase 4th-order Butterworth magnitude
-    response ``|H(f)| = 1/sqrt(1 + (f/bandwidth)^8)`` (the capture path is
-    modeled as delay-free), resamples to ``out_rate``, and, when
-    ``quantize_bits`` is set, quantizes uniformly over +/- 4 standard
-    deviations around the mean.  Filter and rate change share one
-    ``rfft``/``irfft`` pair: only the bins the capture keeps are filtered.
-    """
-    return _capture(
-        np.fft.rfft(w.samples), w.samples.size, w.sample_rate, bandwidth, out_rate, quantize_bits
-    )
-
-
 def _capture(
     spectrum: np.ndarray,
     n_in: int,
@@ -376,11 +360,16 @@ def _capture(
     out_rate: float,
     quantize_bits: int | None,
 ) -> RealWaveform:
-    """``rx_frontend`` from the detected signal's lowest rfft bins.
+    """Receiver front end on the detected signal's lowest rfft bins.
 
-    ``spectrum`` holds at least the ``n_out // 2 + 1`` bins the capture
-    keeps, on the scale of the rfft of the ``n_in``-sample signal; they
-    are filtered in place.
+    The front end applies a zero-phase 4th-order Butterworth magnitude
+    response ``|H(f)| = 1/sqrt(1 + (f/bandwidth)^8)`` (the capture path is
+    modeled as delay-free), resamples to ``out_rate``, and, when
+    ``quantize_bits`` is set, quantizes uniformly over +/- 4 standard
+    deviations around the mean.  ``spectrum`` holds at least the
+    ``n_out // 2 + 1`` bins the capture keeps, on the scale of the rfft of
+    the ``n_in``-sample signal; only those bins are filtered, in place,
+    and one ``irfft`` makes the capture.
     """
     if out_rate > in_rate:
         raise ValueError("out_rate must not exceed the input rate")

@@ -342,8 +342,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = np.arange(args.start, args.stop + args.step / 2, args.step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
-    if args.axis == "reach" and values.min() < 0:
-        raise ConfigError(f"--axis reach needs reaches >= 0 km, got {values.min():g} km")
+    # every point must make a valid scenario before the first frame runs
+    key = {"osnr": "osnr_db", "detuning": "detuning_ghz", "reach": "reach_km"}[args.axis]
+    checks = [(f"--axis {args.axis}", key, v) for v in values]
+    if args.axis == "reach":
+        checks += [("--series-detuning-ghz", "detuning_ghz", d) for d in args.series_detuning_ghz]
+    for flag, name, value in checks:
+        try:
+            build_scenario(dict(cfg, **{name: float(value)}))
+        except ConfigError as exc:
+            raise ConfigError(f"{flag} {value:g}: {exc}") from exc
 
     if args.axis == "detuning":
         sweep = sweep_detuning(sc, values * 1e9, seed=args.seed, workers=args.workers)
@@ -419,14 +427,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
         if not scenarios:
             raise ConfigError(f"no operating point matches '{args.scenario}'")
-    rows = rate_reach_table(
-        base,
-        seed=args.seed,
-        workers=args.workers,
-        full_comb=args.full_comb,
-        scenarios=scenarios,
-        target_ber=base.gap.target_ber,
-    )
+    rows = rate_reach_table(base, seed=args.seed, workers=args.workers, scenarios=scenarios)
     out = _out_dir(args)
     csv_rows = []
     for row in rows:
@@ -548,11 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_table)
     p_table.add_argument(
         "--scenario", help="restrict to one operating point, e.g. '8x56'"
-    )
-    p_table.add_argument(
-        "--full-comb",
-        action="store_true",
-        help="light every comb slot instead of the 3-channel neighborhood",
     )
     p_table.set_defaults(handler=_cmd_table)
 

@@ -1,4 +1,4 @@
-"""Domain types, QAM constellations, and frame-geometry arithmetic.
+"""Domain types, QAM constellations, and the frame's rate arithmetic.
 
 Everything downstream (modulation, loading, channel, receiver) shares the
 value types defined here.  All types are immutable after construction and
@@ -19,14 +19,11 @@ __all__ = [
     "DmtConfig",
     "SubcarrierPlan",
     "BerReport",
-    "FrameGeometry",
     "InfeasibleRateError",
     "constellation",
     "map_symbols",
     "demap_symbols",
     "bits_to_groups",
-    "groups_to_bits",
-    "frame_geometry",
     "target_bits_per_symbol",
 ]
 
@@ -69,10 +66,6 @@ class RealWaveform:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
 
@@ -114,10 +107,6 @@ class DmtConfig:
     @property
     def cp_length(self) -> int:
         return int(round(self.cp_ratio * self.fft_size))
-
-    @property
-    def oversampling(self) -> float:
-        return (self.fft_size / 2) / self.n_data_subcarriers
 
 
 @dataclass(frozen=True)
@@ -288,13 +277,6 @@ def bits_to_groups(bits: np.ndarray, b: int) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64).reshape(-1, b)
     weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
     return bits @ weights
-
-
-def groups_to_bits(groups: np.ndarray, b: int) -> np.ndarray:
-    """Unpack integer groups into an MSB-first bit sequence."""
-    groups = np.asarray(groups, dtype=np.int64)
-    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    return ((groups[:, None] >> shifts) & 1).reshape(-1)
 
 
 def map_symbols(groups: np.ndarray, b: int) -> np.ndarray:
@@ -472,40 +454,20 @@ def _slicer(orders: np.ndarray, scale: np.ndarray | None = None):
     return decide
 
 
-@dataclass(frozen=True)
-class FrameGeometry:
-    samples_per_symbol: int
-    samples_per_frame: int
-    symbol_duration: float
-    frame_duration: float
-
-
-def frame_geometry(cfg: DmtConfig) -> FrameGeometry:
-    """Sample and time bookkeeping of one DMT frame (integer-exact)."""
-    per_symbol = cfg.fft_size + cfg.cp_length
-    n_symbols = cfg.n_data_symbols + cfg.n_training_symbols
-    per_frame = per_symbol * n_symbols
-    return FrameGeometry(
-        samples_per_symbol=per_symbol,
-        samples_per_frame=per_frame,
-        symbol_duration=per_symbol / cfg.dac_rate,
-        frame_duration=per_frame / cfg.dac_rate,
-    )
-
-
 def target_bits_per_symbol(net_rate: float, cfg: DmtConfig) -> int:
     """Bits each data symbol must carry to reach `net_rate` after overheads.
 
     Rounds up (the achieved net rate is >= the requested one); TS and CP
-    overheads are included through the frame duration.
+    overheads are included through the frame's sample count.
     """
     if not net_rate > 0:
         raise ValueError("net_rate must be positive")
-    geom = frame_geometry(cfg)
+    samples_per_frame = (cfg.fft_size + cfg.cp_length) * (
+        cfg.n_data_symbols + cfg.n_training_symbols
+    )
     # exact rational ceil: avoids float boundary drift for decimal rates
     b_target = math.ceil(
-        Fraction(net_rate) * geom.samples_per_frame
-        / (Fraction(cfg.dac_rate) * cfg.n_data_symbols)
+        Fraction(net_rate) * samples_per_frame / (Fraction(cfg.dac_rate) * cfg.n_data_symbols)
     )
     capacity = cfg.n_data_subcarriers * cfg.max_bits_per_subcarrier
     if b_target > capacity:

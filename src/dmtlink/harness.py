@@ -38,7 +38,9 @@ and the demultiplexer is the same shape on every slot.  A channel's
 statistics therefore depend only on which neighbors are lit, not on its
 absolute slot, so per-channel WDM evaluations run on a compact centered
 comb carrying the channel under test and its immediate neighbors (the
-documented 3-channel neighborhood; a flag selects full-comb runs instead).
+documented 3-channel neighborhood).  The rate/reach table runs every
+channel this way; a whole comb at its true slots is still one
+``evaluate_point(sc, seed, range(n))``.
 """
 
 from __future__ import annotations
@@ -731,54 +733,36 @@ def rate_reach_table(
     base: ScenarioConfig,
     seed: int = 0,
     workers: int | None = None,
-    full_comb: bool = False,
     scenarios=TABLE_SCENARIOS,
-    target_ber: float = 4e-3,
 ) -> list:
     """Worst-channel BER for each rate/reach/channel-count operating point.
 
-    Every channel of every comb is evaluated.  By default each channel runs
-    as its 3-channel neighborhood on a compact comb (capture spectra of
-    the same magnitudes but for their Nyquist bin, see
-    ``_neighborhood_scenario``, and far cheaper); ``full_comb`` lights the
-    whole comb at its true slots instead and demodulates every channel
-    from one composite.  A channel whose rate does not load at the
+    Every channel of every comb is evaluated, each as its 3-channel
+    neighborhood on a compact comb (capture spectra of the same magnitudes
+    but for their Nyquist bin, see ``_neighborhood_scenario``), on a pool
+    of ``workers`` processes.  A channel whose rate does not load at the
     evaluation OSNR counts as BER 1 — the operating point fails rather
-    than aborting the table.
+    than aborting the table.  Each row is judged at ``base.gap.target_ber``.
 
     ``base`` supplies everything but comb size, rate, and spans (notably
-    the evaluation OSNR, detuning, and counting depth).
+    the evaluation OSNR, detuning, target BER and counting depth).
     """
     rows = []
     for s_idx, (n_channels, net_rate, reach_km) in enumerate(scenarios):
         spans = (reach_km,) if reach_km > 0 else ()
-        if full_comb:
-            link = replace(
-                base.link,
-                n_channels=n_channels,
-                active_channels=None,
-                channel_under_test=None,
-                span_lengths_km=spans,
-            )
-            sc = replace(base, link=link, net_rate=net_rate)
-            cell = evaluate_point(sc, _seed_int(seed, 606, s_idx), range(n_channels))
-            bers = tuple(cell[ch] for ch in range(n_channels))
-        else:
-            sc = replace(base, net_rate=net_rate)
-            tasks = []
-            for ch in range(n_channels):
-                hood = _neighborhood_scenario(sc, n_channels, ch)
-                hood = replace(hood, link=replace(hood.link, span_lengths_km=spans))
-                tasks.append((hood, _seed_int(seed, 606, s_idx, ch), None))
-            cells = _pool_map(tasks, workers)
-            bers = tuple(cell[1] for cell in cells)
+        sc = replace(base, net_rate=net_rate)
+        tasks = []
+        for ch in range(n_channels):
+            hood = _neighborhood_scenario(sc, n_channels, ch)
+            hood = replace(hood, link=replace(hood.link, span_lengths_km=spans))
+            tasks.append((hood, _seed_int(seed, 606, s_idx, ch), None))
         rows.append(
             TableRow(
                 n_channels=n_channels,
                 net_rate=net_rate,
                 reach_km=reach_km,
-                channel_ber=bers,
-                target_ber=target_ber,
+                channel_ber=tuple(cell[1] for cell in _pool_map(tasks, workers)),
+                target_ber=base.gap.target_ber,
             )
         )
     return rows

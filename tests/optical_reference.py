@@ -1,4 +1,4 @@
-"""The time-domain optical chain: the reference ``optical_span`` is checked against.
+"""The time-domain optical chain: the reference ``compose`` and ``receive`` are checked against.
 
 Each stage takes and returns a field and transforms it on its own, as the
 link model was first written: modulator, filter, fiber, noise loading and
@@ -6,8 +6,9 @@ photodiode.  The arithmetic (the modulator transfer, the dispersion phase,
 the noise draw) is written out here rather than taken from ``dmtlink``, so
 a fault in the package's frequency-domain pieces cannot hide in both.  Only
 the filter shape, the waveform type and the two physical constants are
-shared.  The last section keeps the package's earlier full-grid launch and
-multiplexer, the oracle that ``compose`` must match byte for byte.
+shared, and ``rx_frontend`` runs the package's own front end.  The last
+section keeps the package's earlier full-grid launch and multiplexer, the
+oracle that ``compose`` must match byte for byte.
 
 All fields are complex baseband envelopes.  ``OpticalField.center_offset``
 records the absolute frequency (relative to the WDM grid center) that the
@@ -23,6 +24,7 @@ from dmtlink.channel import (
     OSNR_REFERENCE_BANDWIDTH,
     SPEED_OF_LIGHT,
     FilterSpec,
+    _capture,
     _mean_power,
     _span_operators,
 )
@@ -116,6 +118,18 @@ def load_noise_to_osnr(field, osnr_db, seed, reference_power=None):
 def photodiode(field: OpticalField) -> RealWaveform:
     """Square-law detection with unit responsivity."""
     return RealWaveform(np.abs(field.samples) ** 2, field.sample_rate)
+
+
+def rx_frontend(
+    w: RealWaveform,
+    bandwidth: float = 29.4e9,
+    out_rate: float = 80e9,
+    quantize_bits: int | None = None,
+) -> RealWaveform:
+    """The package's receiver front end (``channel._capture``) on a whole waveform."""
+    return _capture(
+        np.fft.rfft(w.samples), w.samples.size, w.sample_rate, bandwidth, out_rate, quantize_bits
+    )
 
 
 # The launch and the multiplexer as the package wrote them on the full grid,

@@ -5,12 +5,20 @@ written; ``dd_equalize`` and ``demap_frame`` are the equalizer and demapper
 built on it, one decision call per order and per symbol.  The lattice slicer
 of ``dmtlink.core`` must give the same group index on every point, and the
 receiver functions of ``dmtlink.rxdsp`` the same arrays, bit for bit.
+``groups_to_bits`` unpacks a decided group index into its bits.
 """
 
 import numpy as np
 
-from dmtlink.core import constellation, groups_to_bits, map_symbols
+from dmtlink.core import constellation, map_symbols
 from dmtlink.rxdsp import EqualizerState
+
+
+def groups_to_bits(groups: np.ndarray, b: int) -> np.ndarray:
+    """Unpack integer groups into an MSB-first bit sequence."""
+    groups = np.asarray(groups, dtype=np.int64)
+    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
+    return ((groups[:, None] >> shifts) & 1).reshape(-1)
 
 
 def demap_symbols(points: np.ndarray, b: int) -> np.ndarray:

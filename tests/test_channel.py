@@ -20,7 +20,6 @@ from dmtlink.channel import (
     _mean_power,
     _mux_add,
     end_to_end_fading_profile,
-    rx_frontend,
 )
 from dmtlink.core import RealWaveform
 from optical_reference import (
@@ -30,6 +29,7 @@ from optical_reference import (
     mzm,
     optical_filter,
     photodiode,
+    rx_frontend,
 )
 from span_frame import span_captures
 
@@ -532,6 +532,28 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="osnr_db"):
             LinkConfig(osnr_db=float("nan"))
         assert LinkConfig(osnr_db=np.inf).osnr_db == np.inf
+
+    @pytest.mark.parametrize(
+        "name",
+        ["grid_spacing", "detuning", "dispersion_ps_nm_km", "center_wavelength_nm",
+         "rx_bandwidth", "rx_sample_rate", "composite_rate", "vpi", "drive_swing",
+         "mzm_bias_margin", "il_fwhm", "il_fsr", "demux_fwhm"],
+    )
+    def test_nan_field_rejected_by_name(self, name):
+        """A NaN float field is an error naming it, not a link that runs wrongly."""
+        with pytest.raises(ValueError, match=name):
+            LinkConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_span_length_must_be_finite(self, length):
+        """A NaN span is not back to back, and an infinite one is not a span."""
+        with pytest.raises(ValueError, match="span_lengths_km"):
+            LinkConfig(span_lengths_km=(80.0, length))
+
+    def test_minus_inf_osnr_rejected(self):
+        """Only +inf is a noiseless link; -inf is no OSNR at all."""
+        with pytest.raises(ValueError, match="osnr_db"):
+            LinkConfig(osnr_db=-np.inf)
 
     def test_auto_grid_rate(self):
         assert LinkConfig(n_channels=4, span_lengths_km=()).grid_rate == 256e9

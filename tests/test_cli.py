@@ -627,6 +627,24 @@ class TestSweepCommand:
         assert "--axis reach" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axis, values, flag",
+        [
+            ("detuning", ["--start", "300", "--stop", "300", "--step", "1"], "--axis detuning"),
+            ("reach", ["--start", "0", "--stop", "0", "--step", "10",
+                       "--series-detuning-ghz", "nan"], "--series-detuning-ghz"),
+            ("reach", ["--start", "0", "--stop", "0", "--step", "10",
+                       "--series-detuning-ghz", "1e6"], "--series-detuning-ghz"),
+        ],
+    )
+    def test_point_outside_the_config_checks_exits_2(self, tmp_path, capsys, axis, values, flag):
+        """Each sweep point is checked as a config before any frame runs."""
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", axis, *values, "--rate-gbps", "56", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSeedAndWorkerCounts:
     """A negative seed or a pool of fewer than one worker is a config error

@@ -15,7 +15,7 @@ import dmtlink.channel as channel_mod
 import dmtlink.harness as harness_mod
 from dmtlink import _spectral
 from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile
-from dmtlink.core import InfeasibleRateError, RealWaveform, SubcarrierPlan, frame_geometry
+from dmtlink.core import InfeasibleRateError, RealWaveform, SubcarrierPlan
 from dmtlink.harness import (
     InfeasibleOsnrError,
     RATES_448G,
@@ -24,7 +24,6 @@ from dmtlink.harness import (
     TABLE_SCENARIOS,
     TableRow,
     _neighborhood_scenario,
-    _seed_int,
     analytic_fading,
     evaluate_point,
     persist_run,
@@ -36,9 +35,15 @@ from dmtlink.harness import (
     sweep_osnr,
     sweep_reach,
 )
+from dmtlink.loading import GapConfig
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 from search_reference import required_osnr_full_count
 from span_frame import span_captures
+
+
+def _frame_samples(cfg):
+    """Samples in one DMT frame: every symbol with its cyclic prefix."""
+    return (cfg.fft_size + cfg.cp_length) * (cfg.n_data_symbols + cfg.n_training_symbols)
 
 
 def _fast_loopback(net_rate=56e9, **overrides):
@@ -306,9 +311,7 @@ class TestTransmitOnceFilterResponses:
 
         monkeypatch.setattr(FilterSpec, "amplitude_response", counted)
         harness_mod._transmit_once(sc, plans, 2, 4, [1], {})
-        n = _spectral.output_length(
-            frame_geometry(sc.dmt).samples_per_frame, sc.dmt.dac_rate, link.grid_rate
-        )
+        n = _spectral.output_length(_frame_samples(sc.dmt), sc.dmt.dac_rate, link.grid_rate)
         assert len(points) == expected
         assert points == {link.interleaver(ch): n for ch in lit}
 
@@ -781,6 +784,18 @@ class TestTableTypes:
         assert row.passes
         assert not TableRow(8, 56e9, 240.0, (5e-3,), 4e-3).passes
 
+    def test_rows_judged_at_the_scenarios_target(self, monkeypatch):
+        """A BER that passes 4e-3 fails every row of a scenario loaded for 1e-3."""
+        monkeypatch.setattr(
+            harness_mod, "evaluate_point", lambda sc, seed, channels=None: {1: 2e-3}
+        )
+        base = ScenarioConfig(
+            link=LinkConfig(osnr_db=38.0, detuning=19e9), gap=GapConfig(target_ber=1e-3)
+        )
+        rows = rate_reach_table(base, seed=7)
+        assert len(rows) == len(TABLE_SCENARIOS)
+        assert all(row.target_ber == 1e-3 and not row.passes for row in rows)
+
 
 class TestAnalyticFading:
     def test_dc_is_unity(self):
@@ -860,7 +875,7 @@ class TestOnePeriodReceive:
         record = run_link(sc, seed=4, channels=[0, 2])
         assert sorted(record.reports) == [0, 2]
         assert record.reports[0].bits_total == 2 * sc.bits_per_frame
-        assert seen == [frame_geometry(sc.dmt).samples_per_frame] * len(sc.link.lit_channels)
+        assert seen == [_frame_samples(sc.dmt)] * len(sc.link.lit_channels)
 
 
 class TestOneTimingDecisionPerRun:
@@ -919,29 +934,3 @@ class TestOneTimingDecisionPerRun:
         assert scenario_hash(sc) in message
         assert "probe pass" in message
         assert "channel 2: timing metric peak 0.050" in message
-
-
-class TestFullCombTable:
-    def test_one_point_per_row_with_every_slot_lit(self, monkeypatch):
-        """``full_comb`` evaluates each row once, on the whole comb at its slots."""
-        calls = []
-
-        def point(sc, seed, channels=None):
-            calls.append((sc, seed, channels))
-            return {ch: 1e-4 * (ch + 1) for ch in channels}
-
-        monkeypatch.setattr(harness_mod, "evaluate_point", point)
-        base = ScenarioConfig(link=LinkConfig(osnr_db=38.0, detuning=19e9))
-        rows = rate_reach_table(base, seed=7, full_comb=True, workers=2)
-        assert len(calls) == len(rows) == len(TABLE_SCENARIOS)
-        for s_idx, ((n, rate, reach), (sc, seed, channels), row) in enumerate(
-            zip(TABLE_SCENARIOS, calls, rows)
-        ):
-            assert sc.link.n_channels == n
-            assert sc.link.lit_channels == tuple(range(n))
-            assert sc.link.channel_under_test is None
-            assert sc.link.total_length_km == reach
-            assert sc.net_rate == rate
-            assert list(channels) == list(range(n))
-            assert seed == _seed_int(7, 606, s_idx)
-            assert row.channel_ber == tuple(1e-4 * (ch + 1) for ch in range(n))

@@ -23,9 +23,16 @@ import numpy as np
 import pytest
 
 from dmtlink import _spectral
-from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, LinkConfig, rx_frontend
+from dmtlink.channel import OSNR_REFERENCE_BANDWIDTH, LinkConfig
 from dmtlink.core import RealWaveform
-from optical_reference import OpticalField, fiber_cd, mzm, optical_filter, photodiode
+from optical_reference import (
+    OpticalField,
+    fiber_cd,
+    mzm,
+    optical_filter,
+    photodiode,
+    rx_frontend,
+)
 from span_frame import span_captures
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -24,11 +24,10 @@ from dmtlink.channel import (
     _smooth_length,
     _span_operators,
     noise_draws,
-    rx_frontend,
 )
 from dmtlink.core import RealWaveform, SubcarrierPlan
 from dmtlink.harness import ScenarioConfig
-from optical_reference import OpticalField, photodiode
+from optical_reference import OpticalField, photodiode, rx_frontend
 from span_frame import span_captures
 
 GRID_POINTS = 1_031_680  # one frame on the 256 GS/s composite grid

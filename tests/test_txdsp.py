@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from dmtlink.core import DmtConfig, RealWaveform, SubcarrierPlan, frame_geometry
+from dmtlink.core import DmtConfig, RealWaveform, SubcarrierPlan
 from dmtlink.txdsp import (
     build_training_symbols,
     clip,
@@ -48,7 +48,7 @@ class TestTrainingSymbols:
         """TS2 mean power equals a uniformly loaded data symbol within 1e-9."""
         plan = SubcarrierPlan.uniform(CFG.n_data_subcarriers)
         frame = modulate_frame(_random_payload(plan, CFG, 3), plan, CFG, seed=9)
-        sps = frame_geometry(CFG).samples_per_symbol
+        sps = CFG.fft_size + CFG.cp_length
         bodies = frame.waveform.samples.reshape(-1, sps)[:, CFG.cp_length :]
         ts2_power = np.mean(bodies[1] ** 2)
         data_power = np.mean(bodies[5] ** 2)
@@ -65,7 +65,7 @@ class TestModulateFrame:
     def test_cyclic_prefix_copies_symbol_tail(self):
         plan = SubcarrierPlan.uniform(CFG.n_data_subcarriers)
         frame = modulate_frame(_random_payload(plan, CFG, 2), plan, CFG, seed=5)
-        sps = frame_geometry(CFG).samples_per_symbol
+        sps = CFG.fft_size + CFG.cp_length
         cp, n = CFG.cp_length, CFG.fft_size
         symbols = frame.waveform.samples.reshape(-1, sps)
         for row in symbols:
@@ -75,7 +75,7 @@ class TestModulateFrame:
         """Per-symbol FFT of the waveform recovers the loaded subcarriers."""
         plan = SubcarrierPlan.uniform(CFG.n_data_subcarriers)
         frame = modulate_frame(_random_payload(plan, CFG, 4), plan, CFG, seed=11)
-        sps = frame_geometry(CFG).samples_per_symbol
+        sps = CFG.fft_size + CFG.cp_length
         cp, n = CFG.cp_length, CFG.fft_size
         bodies = frame.waveform.samples.reshape(-1, sps)[:, cp:]
         spectra = np.fft.rfft(bodies, axis=1) / np.sqrt(n)
