@@ -20,9 +20,10 @@ grid at a time.
 
 Sign conventions, documented once here:
 
-* The Mach-Zehnder transfer is ``E = sin(pi * (v + bias) / (2 * vpi))``; the
-  bias parks the most negative drive sample slightly above the field
-  null, so the envelope stays non-negative (no phase flips).
+* The Mach-Zehnder transfer is ``E = sin(pi / 2 * (v + bias))``, with drive
+  and bias in units of the switching voltage; the bias parks the most
+  negative drive sample slightly above the field null, so the envelope
+  stays non-negative (no phase flips).
 * Chromatic dispersion multiplies by ``exp(+j * pi * D * L * lambda^2 * f^2 / c)``
   (anomalous regime for positive D at 1550 nm: higher frequencies are
   delayed).  The double-sideband fading null pinned by the tests,
@@ -138,12 +139,11 @@ class LinkConfig:
         the lit carriers' sidebands fit below 128 GHz and 512 GS/s
         otherwise (always a multiple of the DAC rate so resampling stays
         exact).
-    vpi : float
-        Modulator switching voltage (only ratios to it matter).
     drive_swing : float
-        Peak drive as a fraction of ``vpi``.
+        Peak drive as a fraction of the modulator's switching voltage.
     mzm_bias_margin : float
-        Extra bias above the field null, as a fraction of ``vpi``.
+        Extra bias above the field null, as a fraction of the switching
+        voltage.
     il_fwhm / il_order / il_fsr : interleaver shape parameters.
     demux_fwhm / demux_order : demultiplexer shape parameters.
     quantize_bits : int or None
@@ -164,7 +164,6 @@ class LinkConfig:
     rx_bandwidth: float = 29.4e9
     rx_sample_rate: float = 80e9
     composite_rate: float | None = None
-    vpi: float = 2.0
     drive_swing: float = 0.2
     mzm_bias_margin: float = 0.01
     il_fwhm: float = 44e9
@@ -273,27 +272,24 @@ class LinkConfig:
         )
 
 
-def _mzm_transfer(
-    samples: np.ndarray, vpi: float, drive_swing: float, bias_margin: float
-) -> np.ndarray:
+def _mzm_transfer(samples: np.ndarray, drive_swing: float, bias_margin: float) -> np.ndarray:
     """The Mach-Zehnder modulator's real (chirp-free) field for a drive.
 
-    The drive is rescaled so its peak equals ``drive_swing * vpi``, then
-    pushed through ``E = sin(pi * (v + bias) / (2 * vpi))`` with
-    ``bias = -min(v) + bias_margin * vpi``: the lowest drive sample sits just
-    above the field null, keeping the envelope non-negative while staying
-    close to the linear low-bias operating point.  Works in place:
+    Drive and bias are in units of the switching voltage.  The drive is
+    rescaled so its peak equals ``drive_swing``, then pushed through
+    ``E = sin(pi / 2 * (v + bias))`` with ``bias = -min(v) + bias_margin``:
+    the lowest drive sample sits just above the field null, keeping the
+    envelope non-negative while staying close to the linear low-bias
+    operating point.  Works in place:
     ``samples`` becomes the field, and is returned.
     """
     if not 0 < drive_swing <= 1:
         raise ValueError("drive_swing must lie in (0, 1]")
     peak = max(np.max(samples), -np.min(samples))  # max |v|, with no temporary
     v = samples
-    v *= drive_swing * vpi / peak if peak > 0 else 1.0
-    # sin(pi * (v + bias) / (2 * vpi))
-    v += -np.min(v) + bias_margin * vpi
-    v *= np.pi
-    v /= 2.0 * vpi
+    v *= drive_swing / peak if peak > 0 else 1.0
+    v += -np.min(v) + bias_margin
+    v *= np.pi / 2
     return np.sin(v, out=v)
 
 
@@ -430,7 +426,7 @@ def _launch(
     spectrum, half = buffer[:n], buffer[: n // 2 + 1]
     field = buffer.view(np.float64)[n + 2 :]  # clear of the rfft's n + 2 floats
     dac_samples(waveform, rate, out=field, work=half)
-    _mzm_transfer(field, link.vpi, link.drive_swing, link.mzm_bias_margin)
+    _mzm_transfer(field, link.drive_swing, link.mzm_bias_margin)
     np.fft.rfft(field, out=half)
     # the field is real, so its negative frequencies mirror the positive ones
     np.conjugate(spectrum[(n - 1) // 2 : 0 : -1], out=spectrum[n // 2 + 1 :])
@@ -707,15 +703,12 @@ def _lay_window(
 
 
 def end_to_end_fading_profile(
-    link: LinkConfig,
-    detuning: float | None = None,
-    use_interleaver: bool = True,
-    tone_step: float = 62.5e6,
+    link: LinkConfig, use_interleaver: bool = True, tone_step: float = 62.5e6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure the link's small-signal RF response by single-tone probing.
 
     Drives the modulator with one low-amplitude tone at a time, passes the
-    field through the interleaver port (at the given detuning), the fiber
+    field through the interleaver port (at the link's detuning), the fiber
     and the port again, detects it, and reads back the tone's RF power.
     The pieces are those a frame crosses: the modulator transfer, the
     dispersion phase and the filter response, which act on the field's
@@ -726,10 +719,9 @@ def end_to_end_fading_profile(
     Parameters
     ----------
     link : LinkConfig
-        Channel geometry; only the filter shapes, spans, and dispersion
-        parameters are used (a single channel at grid center is probed).
-    detuning : float, optional
-        Laser offset from the interleaver center; defaults to the link's.
+        Channel geometry; only the detuning, filter shapes, spans, and
+        dispersion parameters are used (a single channel at grid center is
+        probed).
     use_interleaver : bool
         When ``False`` the filters are skipped (plain double-sideband
         transmission), exposing the unmitigated fading nulls.
@@ -743,7 +735,6 @@ def end_to_end_fading_profile(
         Tone frequencies in Hz and received RF power relative to
         back-to-back, in dB.
     """
-    detuning = link.detuning if detuning is None else detuning
     base_rate, base_n = 64e9, 2048
     rate = link.grid_rate
     n = int(round(base_n * rate / base_rate))
@@ -758,7 +749,7 @@ def end_to_end_fading_profile(
     # any composite rate (same duration, more samples), so a tone at bin k
     # of the 64 GS/s grid also lands exactly on bin k of the composite FFT.
     t = np.arange(n) / rate
-    freq = _grid_frequencies(n, rate) + detuning  # absolute grid frequencies
+    freq = _grid_frequencies(n, rate) + link.detuning  # absolute grid frequencies
     if use_interleaver:  # the transmit and the receive pass of one port
         tx_il = FilterSpec(center=0.0, fwhm_3db=link.il_fwhm, order=link.il_order, fsr=link.il_fsr)
         port = np.square(tx_il.amplitude_response(freq))
@@ -770,9 +761,7 @@ def end_to_end_fading_profile(
     transfers = (port * np.exp(1j * phase), port)  # the link, then back to back
     powers = np.empty((len(transfers), freqs.size))
     for i, (f, k) in enumerate(zip(freqs, bins)):
-        field = _mzm_transfer(
-            np.sin(2 * np.pi * f * t), link.vpi, _PROBE_SWING, link.mzm_bias_margin
-        )
+        field = _mzm_transfer(np.sin(2 * np.pi * f * t), _PROBE_SWING, link.mzm_bias_margin)
         spectrum = np.fft.fft(field)
         for row, transfer in zip(powers, transfers):
             detected = np.square(np.abs(np.fft.ifft(spectrum * transfer)))

@@ -131,7 +131,6 @@ _KEYS = {
     "rx_bandwidth_ghz": (29.4, "link.rx_bandwidth", _giga),
     "rx_sample_rate_gsps": (80.0, "link.rx_sample_rate", _giga),
     "composite_rate_gsps": (None, "link.composite_rate", _optional(_giga)),
-    "vpi_v": (2.0, "link.vpi", _float),
     "drive_swing": (0.2, "link.drive_swing", _float),
     "mzm_bias_margin": (0.01, "link.mzm_bias_margin", _float),
     "il_fwhm_ghz": (44.0, "link.il_fwhm", _giga),
@@ -331,7 +330,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     sc = build_scenario(cfg)
-    target = sc.gap.target_ber
     out = _out_dir(args)
     stem = f"sweep_{args.axis}_{scenario_hash(sc)}_s{args.seed}"
     if not (np.isfinite([args.start, args.stop]).all() and 0 < args.step < np.inf):
@@ -342,11 +340,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = np.arange(args.start, args.stop + args.step / 2, args.step)
     if values.size == 0:
         raise ConfigError("empty sweep range")
+    detunings = args.series_detuning_ghz
+    if detunings is None:
+        detunings = [19.0]
+    elif args.axis != "reach":
+        raise ConfigError(
+            f"--series-detuning-ghz applies to --axis reach only, not --axis {args.axis}"
+        )
     # every point must make a valid scenario before the first frame runs
     key = {"osnr": "osnr_db", "detuning": "detuning_ghz", "reach": "reach_km"}[args.axis]
     checks = [(f"--axis {args.axis}", key, v) for v in values]
     if args.axis == "reach":
-        checks += [("--series-detuning-ghz", "detuning_ghz", d) for d in args.series_detuning_ghz]
+        checks += [("--series-detuning-ghz", "detuning_ghz", d) for d in detunings]
     for flag, name, value in checks:
         try:
             build_scenario(dict(cfg, **{name: float(value)}))
@@ -362,6 +367,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.axis == "osnr":
         sweep = sweep_osnr(sc, values, seed=args.seed, workers=args.workers)
         write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], zip(values, sweep.ber))
+        target = sc.gap.target_ber
         crossing = _osnr_crossing(values, sweep.ber, target)
         if crossing is None:
             print(f"no OSNR in range reaches BER {target:.1e}")
@@ -370,10 +376,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series = [("BER", values, _log_ber(sweep.ber))]
         labels = ("OSNR (dB)", "log10(BER)", "BER vs OSNR")
     else:  # reach
-        detunings = args.series_detuning_ghz
-        columns = sweep_reach(
-            sc, values, [det * 1e9 for det in detunings], target_ber=target, seed=args.seed
-        )
+        columns = sweep_reach(sc, values, [det * 1e9 for det in detunings], seed=args.seed)
         header = ["reach_km"] + [f"required_osnr_db_{det:g}ghz" for det in detunings]
         write_csv(out / f"{stem}.csv", header, zip(values, *columns))
         series = [
@@ -452,9 +455,7 @@ def _cmd_fading(args: argparse.Namespace) -> int:
     sc = build_scenario(cfg)
     reach = sc.link.total_length_km
     freqs, simulated_db = end_to_end_fading_profile(
-        sc.link,
-        detuning=sc.link.detuning,
-        use_interleaver=not args.no_interleaver,
+        sc.link, use_interleaver=not args.no_interleaver
     )
     analytic_db = 10.0 * np.log10(
         np.maximum(
@@ -540,8 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--series-detuning-ghz",
         type=lambda s: [float(x) for x in s.split(",")],
-        default=[19.0],
-        help="comma list of detunings for reach sweeps (one curve each)",
+        help="comma list of detunings for reach sweeps (one curve each; default 19)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -93,12 +93,12 @@ class DmtConfig:
                 "(Hermitian symmetry leaves fft_size/2 - 1 usable bins)"
             )
         cp = self.cp_ratio * self.fft_size
-        if abs(cp - round(cp)) > 1e-9:
+        if not math.isfinite(cp) or abs(cp - round(cp)) > 1e-9:
             raise ValueError("cp_ratio * fft_size must be an integer sample count")
         if self.n_data_symbols < 1 or self.n_training_symbols < 1:
             raise ValueError("symbol counts must be positive")
-        if not self.dac_rate > 0:
-            raise ValueError("dac_rate must be positive")
+        if not 0 < self.dac_rate < math.inf:
+            raise ValueError(f"dac_rate must be positive and finite, got {self.dac_rate!r}")
         if not self.clipping_ratio_db > 0:
             raise ValueError("clipping_ratio_db must be positive (may be inf)")
         if not 1 <= self.max_bits_per_subcarrier <= MAX_QAM_BITS:
@@ -140,10 +140,6 @@ class SubcarrierPlan:
     @property
     def n_subcarriers(self) -> int:
         return self.bits.size
-
-    @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
     @property
     def bits_per_symbol(self) -> int:

@@ -80,7 +80,6 @@ from .txdsp import clip, modulate_frame
 
 __all__ = [
     "InfeasibleOsnrError",
-    "RATES_448G",
     "RunRecord",
     "ScenarioConfig",
     "SweepResult",
@@ -100,9 +99,6 @@ __all__ = [
     "write_csv",
 ]
 
-RATES_448G = {4: 112e9, 5: 89.6e9, 6: 74.7e9, 7: 64e9, 8: 56e9}
-"""Per-channel net rates that tile a 448 Gb/s aggregate over 4-8 carriers."""
-
 TABLE_SCENARIOS = (
     (4, 112e9, 0.0),
     (5, 89.6e9, 40.0),
@@ -114,6 +110,9 @@ TABLE_SCENARIOS = (
 
 TABLE_OSNR_DB = 38.0
 """Evaluation OSNR of the table run when its config leaves the OSNR unset."""
+
+_OSNR_BRACKET_DB = (10.0, 50.0)
+"""OSNR range, in dB, that ``required_osnr`` searches."""
 
 
 class InfeasibleOsnrError(RuntimeError):
@@ -155,8 +154,8 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self):
-        if not self.net_rate > 0:
-            raise ValueError("net_rate must be positive")
+        if not 0 < self.net_rate < math.inf:
+            raise ValueError(f"net_rate must be positive and finite, got {self.net_rate!r}")
         if self.min_bits < 1 or self.min_errors < 1:
             raise ValueError("min_bits and min_errors must be positive")
 
@@ -184,34 +183,6 @@ class ScenarioConfig:
             n_channels=4,
             active_channels=(1,),
             channel_under_test=1,
-            span_lengths_km=(reach_km,) if reach_km > 0 else (),
-            detuning=detuning,
-            osnr_db=osnr_db,
-        )
-        return cls(link=link, net_rate=net_rate, **overrides)
-
-    @classmethod
-    def wdm_comb(
-        cls,
-        n_channels: int,
-        reach_km: float = 0.0,
-        detuning: float = 19e9,
-        osnr_db: float = 38.0,
-        net_rate: float | None = None,
-        **overrides,
-    ) -> "ScenarioConfig":
-        """A fully lit comb carrying a 448 Gb/s aggregate.
-
-        The per-channel rate defaults to the 448 Gb/s tiling for the comb
-        size; an explicit ``net_rate`` overrides it (the aggregate-rate
-        invariant is only asserted for the default).
-        """
-        if net_rate is None:
-            net_rate = RATES_448G[n_channels]
-            if abs(n_channels * net_rate - 448e9) > 0.005 * 448e9:
-                raise ValueError("comb rates must tile 448 Gb/s within rounding")
-        link = LinkConfig(
-            n_channels=n_channels,
             span_lengths_km=(reach_km,) if reach_km > 0 else (),
             detuning=detuning,
             osnr_db=osnr_db,
@@ -547,14 +518,8 @@ def _bisect(lo: float, hi: float, passes, tol_db: float):
     return lo, hi
 
 
-def required_osnr(
-    sc: ScenarioConfig,
-    target_ber: float = 4e-3,
-    tol_db: float = 0.25,
-    seed: int = 0,
-    bracket: tuple = (10.0, 50.0),
-) -> float:
-    """OSNR needed to reach ``target_ber``, by bisection over the bracket.
+def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> float:
+    """OSNR needed to reach ``sc.gap.target_ber``, by bisection over 10-50 dB.
 
     Each point is the operating point ``sweep_osnr`` evaluates at that OSNR
     and seed; its loading adapts to the point, as in a trained
@@ -579,18 +544,17 @@ def required_osnr(
     Raises
     ------
     ValueError
-        If the bracket is not finite and increasing, or ``tol_db`` is not a
-        positive finite number (checked before any frame runs).
+        If ``tol_db`` is not a positive finite number (checked before any
+        frame runs).
     InfeasibleOsnrError
         If the link cannot operate at the top of the bracket, or its
         counted BER misses the target.
     """
-    bottom, top = bracket
-    if not (math.isfinite(bottom) and math.isfinite(top) and bottom < top):
-        raise ValueError(f"bracket must be finite and increasing, got {bracket!r}")
     if not (math.isfinite(tol_db) and tol_db > 0):
         raise ValueError(f"tol_db must be positive and finite, got {tol_db!r}")
 
+    bottom, top = _OSNR_BRACKET_DB
+    target_ber = sc.gap.target_ber
     cut = sc.link.cut_index
     trained, ber = {}, {}
 
@@ -668,18 +632,12 @@ def sweep_detuning(
     )
 
 
-def sweep_reach(
-    sc: ScenarioConfig,
-    reaches_km,
-    detunings_hz,
-    target_ber: float = 4e-3,
-    seed: int = 0,
-) -> np.ndarray:
+def sweep_reach(sc: ScenarioConfig, reaches_km, detunings_hz, seed: int = 0) -> np.ndarray:
     """Required OSNR (dB) at each reach, one row per laser detuning.
 
     Returns an array of shape ``(len(detunings_hz), len(reaches_km))``; a
-    point whose target BER is missed even at the top of the OSNR bracket is
-    ``inf``.  The searches run one after another in this process.
+    point whose target BER (``sc.gap.target_ber``) is missed even at the top
+    of the OSNR bracket is ``inf``.  The searches run one after another in this process.
 
     Raises ``ValueError`` for a reach below 0 km, before any frame runs.
     """
@@ -694,7 +652,7 @@ def sweep_reach(
                 sc, link=replace(sc.link, span_lengths_km=spans, detuning=float(det))
             )
             try:
-                out[i, j] = required_osnr(trial, target_ber=target_ber, seed=seed)
+                out[i, j] = required_osnr(trial, seed=seed)
             except InfeasibleOsnrError:
                 out[i, j] = np.inf
     return out

@@ -141,11 +141,12 @@ def rx_frontend(
 def _full_grid_launch(link, channel, drive, freq, duration):
     """One channel's modulated spectrum after its interleaver port (full grid)."""
     samples = drive.samples
+    vpi = 2.0  # only ratios to the switching voltage matter
     peak = np.max(np.abs(samples))
-    v = samples * (link.drive_swing * link.vpi / peak if peak > 0 else 1.0)
-    v += -np.min(v) + link.mzm_bias_margin * link.vpi
+    v = samples * (link.drive_swing * vpi / peak if peak > 0 else 1.0)
+    v += -np.min(v) + link.mzm_bias_margin * vpi
     v *= np.pi
-    v /= 2.0 * link.vpi
+    v /= 2.0 * vpi
     n = drive.samples.size
     spectrum = np.empty(n, dtype=np.complex128)
     np.fft.rfft(np.sin(v, out=v), out=spectrum[: n // 2 + 1])

@@ -154,10 +154,9 @@ class TestAcceptance:
                     active_channels=(1,),
                     channel_under_test=1,
                     span_lengths_km=(reach_km,),
+                    detuning=0.0,
                 )
-                freqs, sim_db = end_to_end_fading_profile(
-                    link, detuning=0.0, use_interleaver=False
-                )
+                freqs, sim_db = end_to_end_fading_profile(link, use_interleaver=False)
                 d_si = link.dispersion_ps_nm_km * 1e-6
                 lam = link.center_wavelength_nm * 1e-9
                 scale = SPEED_OF_LIGHT / (2.0 * d_si * reach_km * 1e3 * lam**2)

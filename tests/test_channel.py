@@ -385,9 +385,7 @@ class TestOpticalSpan:
         drive = self._drives(4)[channel]
         duration = self.N / rate
         spectrum, shift = _launch(link, channel, drive, duration)
-        field = mzm(
-            drive, vpi=link.vpi, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin
-        )
+        field = mzm(drive, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin)
         field = OpticalField(field.samples, rate, center_offset=shift / duration)
         expected = optical_filter(field, link.interleaver(channel)).power()
         assert _mean_power(spectrum) == pytest.approx(expected, rel=1e-12)
@@ -417,13 +415,15 @@ class TestFadingProfile:
 
     def test_back_to_back_flat(self):
         """Zero fiber, no filters: response is flat 0 dB within 0.2 dB."""
-        _, response = end_to_end_fading_profile(self.B2B, detuning=0.0, use_interleaver=False)
+        _, response = end_to_end_fading_profile(
+            replace(self.B2B, detuning=0.0), use_interleaver=False
+        )
         assert np.all(np.abs(response) < 0.2)
 
     def test_centered_dsb_nulls_at_analytic_frequencies(self):
         """Unfiltered 50 km fading dips sit on the analytic nulls."""
         freqs, response = end_to_end_fading_profile(
-            self.FIFTY, detuning=0.0, use_interleaver=False
+            replace(self.FIFTY, detuning=0.0), use_interleaver=False
         )
         for k in (0, 1):
             null = _fading_null(k, 50.0)
@@ -435,10 +435,10 @@ class TestFadingProfile:
     def test_vsb_detuning_mitigates_fading(self):
         """19 GHz detuning with the interleaver lifts the worst in-band dip."""
         freqs, centered = end_to_end_fading_profile(
-            self.FIFTY, detuning=0.0, use_interleaver=False
+            replace(self.FIFTY, detuning=0.0), use_interleaver=False
         )
         _, detuned = end_to_end_fading_profile(
-            self.FIFTY, detuning=19e9, use_interleaver=True
+            replace(self.FIFTY, detuning=19e9), use_interleaver=True
         )
         band = freqs <= 30.4375e9
         assert detuned[band].min() >= centered[band].min() + 6.0
@@ -456,7 +456,7 @@ def _reference_fading_profile(link, detuning, use_interleaver, tone_step):
         powers = []
         for k in bins:
             drive = RealWaveform(np.sin(2 * np.pi * k * 31.25e6 * t), rate)
-            field = mzm(drive, vpi=link.vpi, drive_swing=0.05, bias_margin=link.mzm_bias_margin)
+            field = mzm(drive, drive_swing=0.05, bias_margin=link.mzm_bias_margin)
             field = OpticalField(field.samples, rate, center_offset=detuning)
             if use_interleaver:
                 field = optical_filter(field, port)
@@ -483,7 +483,7 @@ class TestFadingProfileAgainstReference:
     )
     def test_matches_time_domain_chain(self, link, detuning, use_interleaver):
         freqs, response = end_to_end_fading_profile(
-            link, detuning=detuning, use_interleaver=use_interleaver, tone_step=1e9
+            replace(link, detuning=detuning), use_interleaver=use_interleaver, tone_step=1e9
         )
         want_freqs, want = _reference_fading_profile(link, detuning, use_interleaver, 1e9)
         assert np.array_equal(freqs, want_freqs)
@@ -500,18 +500,18 @@ class TestFadingProfileAgainstReference:
         margins = []
         original = channel_mod._mzm_transfer
 
-        def recorded(samples, vpi, drive_swing, bias_margin):
+        def recorded(samples, drive_swing, bias_margin):
             margins.append(bias_margin)
-            return original(samples, vpi, drive_swing, bias_margin)
+            return original(samples, drive_swing, bias_margin)
 
         monkeypatch.setattr(channel_mod, "_mzm_transfer", recorded)
         link = LinkConfig(n_channels=4, span_lengths_km=(50.0,), mzm_bias_margin=0.05)
-        _, response = end_to_end_fading_profile(link, detuning=19e9, tone_step=1e9)
+        _, response = end_to_end_fading_profile(replace(link, detuning=19e9), tone_step=1e9)
         assert margins and set(margins) == {0.05}
         _, want = _reference_fading_profile(link, 19e9, True, 1e9)
         assert np.max(np.abs(response - want)) <= 1e-12
         _, default = end_to_end_fading_profile(
-            replace(link, mzm_bias_margin=0.01), detuning=19e9, tone_step=1e9
+            replace(link, detuning=19e9, mzm_bias_margin=0.01), tone_step=1e9
         )
         assert np.max(np.abs(response - default)) <= 1e-12
 
@@ -536,7 +536,7 @@ class TestLinkConfig:
     @pytest.mark.parametrize(
         "name",
         ["grid_spacing", "detuning", "dispersion_ps_nm_km", "center_wavelength_nm",
-         "rx_bandwidth", "rx_sample_rate", "composite_rate", "vpi", "drive_swing",
+         "rx_bandwidth", "rx_sample_rate", "composite_rate", "drive_swing",
          "mzm_bias_margin", "il_fwhm", "il_fsr", "demux_fwhm"],
     )
     def test_nan_field_rejected_by_name(self, name):

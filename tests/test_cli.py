@@ -60,11 +60,12 @@ class TestConfigLoading:
         assert cfg["grid_spacing_ghz"] == DEFAULT_CONFIG["grid_spacing_ghz"]
 
     def test_unknown_key_rejected(self, tmp_path):
-        """A typo'd key is a loud error naming the offender, not a default."""
+        """A typo'd or retired key is a loud error naming the offender, not a default."""
         path = tmp_path / "bad.json"
-        path.write_text('{"detuning_gzh": 19.0}')
-        with pytest.raises(ConfigError, match="detuning_gzh"):
-            load_config(str(path))
+        for key in ("detuning_gzh", "vpi_v"):
+            path.write_text(json.dumps({key: 19.0}))
+            with pytest.raises(ConfigError, match=key):
+                load_config(str(path))
 
     def test_malformed_json_reports_line_and_column(self, tmp_path):
         """Syntax errors carry the parser's line/column diagnostics."""
@@ -113,7 +114,6 @@ DOCUMENTED_DEFAULTS = {
     "rx_bandwidth_ghz": 29.4,
     "rx_sample_rate_gsps": 80.0,
     "composite_rate_gsps": None,
-    "vpi_v": 2.0,
     "drive_swing": 0.2,
     "mzm_bias_margin": 0.01,
     "il_fwhm_ghz": 44.0,
@@ -154,7 +154,6 @@ ONE_KEY_SCENARIOS = [
     ("rx_bandwidth_ghz", 25.0, _link(rx_bandwidth=25e9)),
     ("rx_sample_rate_gsps", 96.0, _link(rx_sample_rate=96e9)),
     ("composite_rate_gsps", 512.0, _link(composite_rate=512e9)),
-    ("vpi_v", 3.5, _link(vpi=3.5)),
     ("drive_swing", 0.25, _link(drive_swing=0.25)),
     ("mzm_bias_margin", 0.05, _link(mzm_bias_margin=0.05)),
     ("il_fwhm_ghz", 40.0, _link(il_fwhm=40e9)),
@@ -395,10 +394,11 @@ class TestRunCommand:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         """Config rejection is exit code 2 with the key named on stderr."""
         path = tmp_path / "bad.json"
-        path.write_text('{"detuning_gzh": 19.0}')
-        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "detuning_gzh" in capsys.readouterr().err
+        for key in ("detuning_gzh", "vpi_v"):
+            path.write_text(json.dumps({key: 19.0}))
+            code = main(["run", "--config", str(path), "--out-dir", str(tmp_path)])
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_infeasible_rate_exits_3(self, tmp_path, capsys):
         """A rate the profile cannot carry is exit code 3."""
@@ -635,10 +635,13 @@ class TestSweepCommand:
                        "--series-detuning-ghz", "nan"], "--series-detuning-ghz"),
             ("reach", ["--start", "0", "--stop", "0", "--step", "10",
                        "--series-detuning-ghz", "1e6"], "--series-detuning-ghz"),
+            ("osnr", ["--start", "30", "--stop", "30", "--step", "1",
+                      "--series-detuning-ghz", "nan"], "--series-detuning-ghz"),
         ],
     )
     def test_point_outside_the_config_checks_exits_2(self, tmp_path, capsys, axis, values, flag):
-        """Each sweep point is checked as a config before any frame runs."""
+        """Each sweep point is checked as a config, and a series flag refused on an
+        axis that does not read it, before any frame runs."""
         out = tmp_path / "out"
         argv = ["sweep", "--axis", axis, *values, "--rate-gbps", "56", "--out-dir", str(out)]
         assert main(argv) == 2

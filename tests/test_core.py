@@ -158,12 +158,18 @@ class TestDomainTypes:
             DmtConfig(cp_ratio=1 / 3)  # non-integer CP length
         assert PAPER_CFG.cp_length == 32
 
+    @pytest.mark.parametrize("name, value", [("dac_rate", np.inf), ("cp_ratio", np.nan)])
+    def test_non_finite_field_rejected_by_name(self, name, value):
+        """A non-finite modem float is an error naming it, not an overflow later."""
+        with pytest.raises(ValueError, match=name):
+            DmtConfig(**{name: value})
+
     def test_plan_power_normalization(self):
         bits = np.array([2, 0, 4])
         with pytest.raises(ValueError):
             SubcarrierPlan(bits, np.array([1.0, 0.0, 0.5]))  # sums to 1.5, not 2
         plan = SubcarrierPlan(bits, np.array([0.5, 0.0, 1.5]))
-        assert plan.n_active == 2
+        assert np.count_nonzero(plan.bits) == 2
         assert plan.bits_per_symbol == 6
 
     def test_plan_zero_power_iff_zero_bits(self):

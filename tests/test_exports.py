@@ -1,5 +1,6 @@
 """Every name a public ``dmtlink`` module exports in ``__all__`` exists there,
-and every exported function or class of a layer is used by the package."""
+every exported function or class of a layer is used by the package, and so
+is every public member of a layer's classes."""
 
 import ast
 import importlib
@@ -22,8 +23,10 @@ UNUSED_BY_DESIGN = {
     "core.demap_symbols": "the hard decision on points; rxdsp slices a whole frame with _slicer",
     "txdsp.dac": "the DAC as a RealWaveform; compose runs dac_samples in its launch buffer",
     "txdsp.symbols_to_waveform": "IFFT plus prefix; modulate_frame splices _symbol_rows",
+    "harness.ScenarioConfig.single_channel": "the README's library entry point",
 }
-"""Exported names nothing in the package calls, each with its reason to stay."""
+"""Exported names and class members nothing in the package calls, each with
+its reason to stay."""
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,4 +56,29 @@ def test_every_exported_function_and_class_is_used_by_the_package():
             if module == layer and defines and stmt.name in exported:
                 if not any(stmt.name in used for _, other, used in statements if other is not stmt):
                     unused.append(f"{layer}.{stmt.name}")
+    assert sorted(set(unused) - set(UNUSED_BY_DESIGN)) == []
+
+
+def test_every_public_class_member_of_a_layer_is_read_by_the_package():
+    """Each public method or property of a layer's classes is read as ``x.name``."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(dmtlink.__file__).parent.glob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = [
+        f"{layer}.{cls.name}.{member.name}"
+        for layer in LAYERS
+        for cls in trees[layer].body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    ]
     assert sorted(set(unused) - set(UNUSED_BY_DESIGN)) == []

@@ -18,7 +18,6 @@ from dmtlink.channel import FilterSpec, LinkConfig, end_to_end_fading_profile
 from dmtlink.core import InfeasibleRateError, RealWaveform, SubcarrierPlan
 from dmtlink.harness import (
     InfeasibleOsnrError,
-    RATES_448G,
     ScenarioConfig,
     SweepResult,
     TABLE_SCENARIOS,
@@ -35,7 +34,7 @@ from dmtlink.harness import (
     sweep_osnr,
     sweep_reach,
 )
-from dmtlink.loading import GapConfig
+from dmtlink.loading import GapConfig, gap_from_ber
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 from search_reference import required_osnr_full_count
 from span_frame import span_captures
@@ -58,6 +57,13 @@ def _fast_optical(net_rate=56e9, osnr_db=30.0, **overrides):
     return ScenarioConfig.single_channel(net_rate=net_rate, osnr_db=osnr_db, **kwargs)
 
 
+def _full_comb(n_channels, net_rate, reach_km=0.0, osnr_db=38.0):
+    """Every slot of an n-channel comb lit at one per-channel rate."""
+    spans = (reach_km,) if reach_km > 0 else ()
+    link = LinkConfig(n_channels=n_channels, span_lengths_km=spans, osnr_db=osnr_db)
+    return ScenarioConfig(link=link, net_rate=net_rate)
+
+
 def _three_lit(loopback=False, **overrides):
     link = LinkConfig(n_channels=4, active_channels=(0, 1, 2), channel_under_test=1, osnr_db=38.0)
     return ScenarioConfig(
@@ -67,15 +73,9 @@ def _three_lit(loopback=False, **overrides):
 
 class TestScenarioConfig:
     def test_rates_tile_448g(self):
-        """The per-channel rate map covers 4-8 carriers of one aggregate."""
-        for n, rate in RATES_448G.items():
+        """The table's per-channel rates cover 4-8 carriers of one aggregate."""
+        for n, rate, _ in TABLE_SCENARIOS:
             assert abs(n * rate - 448e9) <= 0.005 * 448e9
-
-    def test_wdm_comb_defaults(self):
-        sc = ScenarioConfig.wdm_comb(6, reach_km=80.0)
-        assert sc.net_rate == RATES_448G[6]
-        assert sc.link.n_channels == 6
-        assert sc.link.total_length_km == 80.0
 
     def test_single_channel_geometry(self):
         sc = ScenarioConfig.single_channel(reach_km=50.0)
@@ -92,6 +92,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(net_rate=0.0)
 
+    def test_infinite_rate_rejected_by_name(self):
+        """An infinite rate is an error naming it, not an overflow in ``b_target``."""
+        with pytest.raises(ValueError, match="net_rate"):
+            ScenarioConfig(net_rate=float("inf"))
+
     def test_hash_stable_and_sensitive(self):
         a = ScenarioConfig.single_channel(net_rate=56e9)
         b = ScenarioConfig.single_channel(net_rate=56e9)
@@ -103,7 +108,7 @@ class TestScenarioConfig:
 
 class TestNeighborhood:
     def test_interior_channel_has_both_neighbors(self):
-        base = ScenarioConfig.wdm_comb(8, reach_km=240.0)
+        base = _full_comb(8, 56e9, reach_km=240.0)
         hood = _neighborhood_scenario(base, 8, 4)
         assert hood.link.lit_channels == (0, 1, 2)
         assert hood.link.cut_index == 1
@@ -111,12 +116,12 @@ class TestNeighborhood:
         assert hood.link.grid_rate == 256e9
 
     def test_edge_channels_have_one_inboard_neighbor(self):
-        base = ScenarioConfig.wdm_comb(8, reach_km=240.0)
+        base = _full_comb(8, 56e9, reach_km=240.0)
         assert _neighborhood_scenario(base, 8, 0).link.lit_channels == (1, 2)
         assert _neighborhood_scenario(base, 8, 7).link.lit_channels == (0, 1)
 
     def test_out_of_range_rejected(self):
-        base = ScenarioConfig.wdm_comb(5)
+        base = _full_comb(5, 89.6e9)
         with pytest.raises(ValueError):
             _neighborhood_scenario(base, 5, 5)
 
@@ -131,7 +136,7 @@ class TestNeighborhood:
         except at the capture's Nyquist bin, of which the real capture
         keeps only the real part; every other bin agrees to rounding.
         """
-        base = ScenarioConfig.wdm_comb(8, reach_km=reach_km, osnr_db=np.inf, net_rate=56e9)
+        base = _full_comb(8, 56e9, reach_km=reach_km, osnr_db=np.inf)
         full = replace(base.link, active_channels=(3, 4, 5), channel_under_test=4)
         hood = _neighborhood_scenario(base, 8, 4).link
         assert full.grid_rate == hood.grid_rate
@@ -278,7 +283,7 @@ class TestFadingProfileTransforms:
 
             monkeypatch.setattr(np.fft, name, counted)
         link = LinkConfig(n_channels=4, span_lengths_km=(50.0,))
-        freqs, _ = end_to_end_fading_profile(link, detuning=19e9, tone_step=1e9)
+        freqs, _ = end_to_end_fading_profile(link, tone_step=1e9)
         assert len(calls) <= 5 * freqs.size
 
 
@@ -353,8 +358,8 @@ class TestEvaluatePoint:
 class TestRequiredOsnr:
     def test_trivial_target_returns_lower_bracket(self):
         """A target of 0.5 is met at the bottom of the bracket."""
-        sc = _fast_loopback()
-        assert required_osnr(sc, target_ber=0.5, seed=0) == 10.0
+        sc = _fast_loopback(gap=GapConfig(target_ber=0.5, gap_linear=gap_from_ber(4e-3)))
+        assert required_osnr(sc, seed=0) == 10.0
 
     def test_infeasible_at_any_osnr(self):
         """A rate beyond the modem's reach fails even at 50 dB."""
@@ -459,8 +464,11 @@ class TestProbeSteeredSearch:
             return transmit(sc, plans, stage, *args)
 
         monkeypatch.setattr(harness_mod, "_transmit_once", recorded)
+        sc = replace(
+            _search_scenario(19e9), gap=GapConfig(target_ber=0.0, gap_linear=gap_from_ber(4e-3))
+        )
         with pytest.raises(InfeasibleOsnrError, match="still misses"):
-            required_osnr(_search_scenario(19e9), target_ber=0.0, tol_db=10.0, seed=1)
+            required_osnr(sc, tol_db=10.0, seed=1)
         assert stages.count(1) == 2
 
     @pytest.mark.parametrize("tol_db", [0.0, -0.25, float("nan"), float("inf")])
@@ -472,24 +480,13 @@ class TestProbeSteeredSearch:
         with pytest.raises(ValueError, match="tol_db"):
             required_osnr(_fast_optical(), tol_db=tol_db)
 
-    @pytest.mark.parametrize("bracket", [(10.0, float("inf")), (50.0, 10.0), (float("nan"), 50.0)])
-    def test_bracket_must_be_finite_and_increasing(self, monkeypatch, bracket):
-        """An infinite top would bisect forever: every midpoint is inf."""
-
-        def no_frame(*args):
-            raise AssertionError("a frame was sent")
-
-        monkeypatch.setattr(harness_mod, "_send", no_frame)
-        with pytest.raises(ValueError, match="bracket"):
-            required_osnr(_fast_optical(), bracket=bracket)
-
 
 class TestSearchPolicy:
     """The search's decisions on a stand-in link: a point loads from
     ``loads_db`` up and counts below the target from ``passes_db`` up."""
 
     @staticmethod
-    def _stand_in(monkeypatch, loads_db, passes_db):
+    def _stand_in(monkeypatch, loads_db, passes_db, ber_above=1e-4):
         probed, counted = [], []
 
         def train(sc, seed, sent):
@@ -500,7 +497,7 @@ class TestSearchPolicy:
 
         def count(sc, seed, plans, timing, channels):
             counted.append(sc.link.osnr_db)
-            ber = 1e-4 if sc.link.osnr_db >= passes_db else 1e-2
+            ber = ber_above if sc.link.osnr_db >= passes_db else 1e-2
             return {ch: SimpleNamespace(ber=ber) for ch in channels}
 
         monkeypatch.setattr(harness_mod, "_train", train)
@@ -524,6 +521,13 @@ class TestSearchPolicy:
         assert required_osnr(_fast_optical(), tol_db=10.0) == 10.0
         assert probed == [50.0, 30.0, 20.0, 10.0]
         assert counted == [10.0]
+
+    def test_judged_at_the_scenarios_target(self, monkeypatch):
+        """A BER that passes 4e-3 misses a scenario loaded for 1e-3, even at the top."""
+        self._stand_in(monkeypatch, loads_db=0.0, passes_db=0.0, ber_above=2e-3)
+        sc = _fast_optical(gap=GapConfig(target_ber=1e-3))
+        with pytest.raises(InfeasibleOsnrError, match="still misses 1.0e-03"):
+            required_osnr(sc, tol_db=10.0)
 
     def test_top_that_cannot_operate_is_counted_nowhere(self, monkeypatch):
         probed, counted = self._stand_in(monkeypatch, loads_db=60.0, passes_db=0.0)
@@ -741,14 +745,15 @@ class TestSweepReach:
         """One row per detuning, one column per reach; a missed search reads inf."""
         searched = []
 
-        def search(sc, target_ber, seed):
-            searched.append((sc.link.detuning, sc.link.span_lengths_km, target_ber, seed))
+        def search(sc, seed):
+            searched.append((sc.link.detuning, sc.link.span_lengths_km, sc.gap.target_ber, seed))
             if sc.link.span_lengths_km:
                 raise InfeasibleOsnrError("target missed at the top of the bracket")
             return 20.0 + sc.link.detuning / 1e9
 
         monkeypatch.setattr(harness_mod, "required_osnr", search)
-        osnrs = sweep_reach(_fast_optical(), [0.0, 10.0], [0.0, 19e9], target_ber=1e-3, seed=4)
+        sc = _fast_optical(gap=GapConfig(target_ber=1e-3))
+        osnrs = sweep_reach(sc, [0.0, 10.0], [0.0, 19e9], seed=4)
         assert osnrs.shape == (2, 2)
         assert osnrs[:, 0].tolist() == [20.0, 39.0]
         assert np.all(np.isinf(osnrs[:, 1]))

@@ -70,9 +70,7 @@ def _reference_span(link, drives, rx_channels, noise_seed):
     composite = np.zeros(N, dtype=complex)
     cut_power = None
     for ch, drive in drives.items():
-        field = mzm(
-            drive, vpi=link.vpi, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin
-        )
+        field = mzm(drive, drive_swing=link.drive_swing, bias_margin=link.mzm_bias_margin)
         k = round((float(link.channel_centers[ch]) + link.detuning) * duration)
         field = OpticalField(field.samples, rate, center_offset=k / duration)
         field = optical_filter(field, link.interleaver(ch))
