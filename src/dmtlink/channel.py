@@ -191,6 +191,9 @@ class LinkConfig:
             )
         if not 0 < self.drive_swing <= 1:
             raise ValueError("drive_swing must lie in (0, 1]")
+        q = self.quantize_bits
+        if q is not None and not (isinstance(q, (int, np.integer)) and q >= 1):
+            raise ValueError(f"quantize_bits must be None or an integer >= 1, got {q!r}")
         rate = self.grid_rate
         if self.max_signal_frequency > rate / 2:
             raise ValueError(
@@ -283,8 +286,6 @@ def _mzm_transfer(samples: np.ndarray, drive_swing: float, bias_margin: float) -
     operating point.  Works in place:
     ``samples`` becomes the field, and is returned.
     """
-    if not 0 < drive_swing <= 1:
-        raise ValueError("drive_swing must lie in (0, 1]")
     peak = max(np.max(samples), -np.min(samples))  # max |v|, with no temporary
     v = samples
     v *= drive_swing / peak if peak > 0 else 1.0
@@ -375,7 +376,7 @@ def _capture(
     freq = np.fft.rfftfreq(n_in, d=1.0 / in_rate)[:kept]
     spectrum /= np.sqrt(1.0 + (freq / bandwidth) ** 8)
     samples = _spectral.irfft_resized(spectrum, n_in, n_out)
-    if quantize_bits is not None and np.isfinite(quantize_bits):
+    if quantize_bits is not None:
         mean = samples.mean()
         sigma = samples.std()
         if sigma > 0:

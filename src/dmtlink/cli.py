@@ -359,21 +359,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} {value:g}: {exc}") from exc
 
     if args.axis == "detuning":
-        sweep = sweep_detuning(sc, values * 1e9, seed=args.seed, workers=args.workers)
-        write_csv(out / f"{stem}.csv", ["detuning_ghz", "ber"], zip(values, sweep.ber))
-        print(f"BER minimum {sweep.ber.min():.3e} at {sweep.argmin_axis / 1e9:g} GHz")
-        series = [("BER", values, _log_ber(sweep.ber))]
+        ber = sweep_detuning(sc, values * 1e9, seed=args.seed, workers=args.workers)
+        write_csv(out / f"{stem}.csv", ["detuning_ghz", "ber"], zip(values, ber))
+        print(f"BER minimum {ber.min():.3e} at {values[np.argmin(ber)]:g} GHz")
+        series = [("BER", values, _log_ber(ber))]
         labels = ("laser detuning (GHz)", "log10(BER)", "BER vs detuning")
     elif args.axis == "osnr":
-        sweep = sweep_osnr(sc, values, seed=args.seed, workers=args.workers)
-        write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], zip(values, sweep.ber))
+        ber = sweep_osnr(sc, values, seed=args.seed, workers=args.workers)
+        write_csv(out / f"{stem}.csv", ["osnr_db", "ber"], zip(values, ber))
         target = sc.gap.target_ber
-        crossing = _osnr_crossing(values, sweep.ber, target)
+        crossing = _osnr_crossing(values, ber, target)
         if crossing is None:
             print(f"no OSNR in range reaches BER {target:.1e}")
         else:
             print(f"required OSNR (BER < {target:.1e}): {crossing:.2f} dB")
-        series = [("BER", values, _log_ber(sweep.ber))]
+        series = [("BER", values, _log_ber(ber))]
         labels = ("OSNR (dB)", "log10(BER)", "BER vs OSNR")
     else:  # reach
         columns = sweep_reach(sc, values, [det * 1e9 for det in detunings], seed=args.seed)

@@ -95,6 +95,8 @@ class DmtConfig:
         cp = self.cp_ratio * self.fft_size
         if not math.isfinite(cp) or abs(cp - round(cp)) > 1e-9:
             raise ValueError("cp_ratio * fft_size must be an integer sample count")
+        if cp < 0:
+            raise ValueError(f"cp_ratio must not be negative, got {self.cp_ratio!r}")
         if self.n_data_symbols < 1 or self.n_training_symbols < 1:
             raise ValueError("symbol counts must be positive")
         if not 0 < self.dac_rate < math.inf:

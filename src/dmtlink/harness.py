@@ -82,7 +82,6 @@ __all__ = [
     "InfeasibleOsnrError",
     "RunRecord",
     "ScenarioConfig",
-    "SweepResult",
     "TABLE_OSNR_DB",
     "TABLE_SCENARIOS",
     "TableRow",
@@ -215,25 +214,6 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """BER versus one swept axis."""
-
-    axis: np.ndarray
-    ber: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=np.float64))
-        object.__setattr__(self, "ber", np.asarray(self.ber, dtype=np.float64))
-        if self.axis.shape != self.ber.shape or self.axis.ndim != 1:
-            raise ValueError("axis and ber must be matching 1-D arrays")
-
-    @property
-    def argmin_axis(self) -> float:
-        """Axis value minimizing the BER (first minimum on ties)."""
-        return float(self.axis[int(np.argmin(self.ber))])
-
-
-@dataclass(frozen=True)
 class TableRow:
     """One operating point of the rate/reach table."""
 
@@ -273,32 +253,39 @@ def _with_context(exc, context: str):
 def _send(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
     """Build one frame up to the receivers: all of it that the OSNR does not set.
 
-    Modulates every lit channel at its SubcarrierPlan in ``plans``, runs the
-    DAC and ``compose``, and draws the unit noise of ``rx_channels``
-    (``noise_draws``); ``stage`` separates the seed streams of the probe
-    pass and each payload frame.  Returns ``(frames, composite, cut_power,
-    draws)``.  A loopback frame has no composite, and an infinite OSNR draws
-    no noise (``None``).
+    Modulates every lit channel at its SubcarrierPlan in ``plans`` and clips
+    its drive; ``stage`` separates the seed streams of the probe pass and
+    each payload frame.  Of each modulated frame only what the receiver
+    reads is kept: ``known[ch]`` is ``(frequency_symbols, tx_bits)``, the
+    channel's transmitted subcarrier values (training rows first) and its
+    payload bits.  Returns ``(known, signal, cut_power, draws)``.  A
+    loopback frame's signal is its clipped drives, by channel, with no
+    launch power or noise (``None``).  Otherwise the drives go through the
+    DAC and ``compose``, the signal is the composite, and the unit noise of
+    ``rx_channels`` is drawn (``noise_draws``); an infinite OSNR draws no
+    noise (``None``).
     """
     link, dmt = sc.link, sc.dmt
-    frames = {}
+    known, drives = {}, {}
     for ch in link.lit_channels:
         payload_rng = np.random.default_rng(_seed_int(seed, stage, 101, ch))
         payload = payload_rng.integers(0, 2, dmt.n_data_symbols * plans[ch].bits_per_symbol)
         # training symbols are fixed across stages
-        frames[ch] = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
+        frame = modulate_frame(payload, plans[ch], dmt, seed=_seed_int(seed, 202, ch))
+        known[ch] = (frame.frequency_symbols, frame.tx_bits)
+        drives[ch] = clip(frame.waveform, dmt.clipping_ratio_db)
+    del frame  # the last channel's unclipped waveform
     if sc.loopback:
-        return frames, None, None, None
+        return known, drives, None, None
     # The modulated content spans the DAC Nyquist band around each laser
     # (compose upsamples each drive before its modulator, so there is
     # headroom for its weak harmonics, but the occupied band is the DAC's).
-    waveforms = {ch: clip(frame.waveform, dmt.clipping_ratio_db) for ch, frame in frames.items()}
-    composite, cut_power = compose(link, waveforms, rx_channels, dmt.dac_rate)
-    del waveforms
+    composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
+    del drives
     draws = None
     if np.isfinite(link.osnr_db):
         draws = noise_draws(link, composite.size, rx_channels, _seed_int(seed, stage, 303))
-    return frames, composite, cut_power, draws
+    return known, composite, cut_power, draws
 
 
 def _transmit_once(
@@ -312,19 +299,21 @@ def _transmit_once(
     probe pass fills it, payload frames only read it).  ``sent``, a frame
     ``_send`` built once for calls that differ only in the OSNR, stands in
     for sending anew, to the same bits; it is shared, so a copy of its
-    composite is received.  Returns ``{channel: (tx_symbols, tx_bits,
-    demodulated)}``: the frame's transmitted subcarrier values (training
-    rows first), its payload bits, and the received ``DemodulatedFrame``.
+    composite is received, and a loopback frame's drives are read from a
+    copy of its dict.  Returns ``{channel: (tx_symbols, tx_bits,
+    rx_symbols)}``: the frame's transmitted subcarrier values and payload
+    bits (``_send``'s ``known``) and the received subcarrier values
+    (``demodulate``), training rows first.
     """
     link, dmt = sc.link, sc.dmt
-    frames, composite, cut_power, draws = sent or _send(sc, plans, stage, seed, rx_channels)
+    known, signal, cut_power, draws = sent or _send(sc, plans, stage, seed, rx_channels)
     if sc.loopback:
-        captures = {ch: clip(frames[ch].waveform, dmt.clipping_ratio_db) for ch in rx_channels}
+        captures = dict(signal)  # the clipped drives
     else:
         if sent is not None:  # receiving consumes the composite
-            composite = composite.copy()
-        rx = receive(link, composite, cut_power, rx_channels, draws)
-        del composite, draws  # the frame's grid-sized arrays go before the RX DSP
+            signal = signal.copy()
+        rx = receive(link, signal, cut_power, rx_channels, draws)
+        del signal, draws  # the frame's grid-sized arrays go before the RX DSP
         captures = {ch: resample(sqrt_linearize(rx.pop(ch)), dmt.dac_rate) for ch in rx_channels}
 
     received = {}
@@ -335,8 +324,7 @@ def _transmit_once(
                 timing[ch] = schmidl_cox_sync(capture, dmt)
             except SyncNotFoundError as exc:
                 raise _with_context(exc, f"channel {ch}") from exc
-        demod = demodulate(capture, timing[ch], dmt)
-        received[ch] = (frames[ch].frequency_symbols, frames[ch].tx_bits, demod)
+        received[ch] = (*known[ch], demodulate(capture, timing[ch], dmt))
     return received
 
 
@@ -362,8 +350,8 @@ def _probe(sc: ScenarioConfig, seed: int, sent=None):
         raise _with_context(exc, f"scenario {scenario_hash(sc)} probe pass") from exc
     snr = {}
     for ch in lit:
-        tx_symbols, _tx_bits, demod = probe[ch]
-        snr[ch] = estimate_snr(np.vstack([demod.training, demod.data]), tx_symbols, dmt)
+        tx_symbols, _tx_bits, rx_symbols = probe[ch]
+        snr[ch] = estimate_snr(rx_symbols, tx_symbols, dmt)
     return snr, timing
 
 
@@ -385,16 +373,15 @@ def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -
 
     Returns one pooled report per channel in ``channels``.
     """
-    dmt = sc.dmt
+    n_ts = sc.dmt.n_training_symbols
     n_frames = max(1, math.ceil(sc.min_bits / sc.bits_per_frame))
     reports = {ch: None for ch in channels}
     for frame_idx in range(n_frames):
         received = _transmit_once(sc, plans, 1 + frame_idx, seed, channels, timing)
         for ch in channels:
-            tx_symbols, tx_bits, demod = received[ch]
-            known_ts = tx_symbols[: dmt.n_training_symbols]
-            state = channel_estimate(demod.training[1:], known_ts[1:])
-            equalized, _ = dd_equalize(demod.data, state, plans[ch])
+            tx_symbols, tx_bits, rx_symbols = received[ch]
+            state = channel_estimate(rx_symbols[1:n_ts], tx_symbols[1:n_ts])
+            equalized, _ = dd_equalize(rx_symbols[n_ts:], state, plans[ch])
             bits = demap_frame(equalized, plans[ch])
             report = count_errors(bits, tx_bits, plans[ch])
             reports[ch] = report if reports[ch] is None else reports[ch].merged(report)
@@ -484,16 +471,18 @@ def evaluate_point(sc: ScenarioConfig, seed: int, channels=None) -> dict:
     return {ch: record.reports[ch].ber for ch in requested}
 
 
-def _pool_map(tasks, workers):
-    """Map ``evaluate_point`` over (scenario, seed, channels) tuples.
+def _pool_map(tasks, workers) -> list:
+    """BER of each (scenario, seed) task's channel under test (``evaluate_point``).
 
     Runs serially or on a process pool; results merge by task index, so
     parallel output is identical to serial.
     """
     if not workers or workers <= 1:
-        return [evaluate_point(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate_point, *zip(*tasks)))
+        cells = [evaluate_point(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(evaluate_point, *zip(*tasks)))
+    return [cell[sc.link.cut_index] for (sc, _seed), cell in zip(tasks, cells)]
 
 
 def _osnr_point(sc: ScenarioConfig, osnr_db: float, seed: int):
@@ -590,8 +579,8 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
 
 def sweep_osnr(
     sc: ScenarioConfig, osnrs, seed: int = 0, workers: int | None = None
-) -> SweepResult:
-    """BER of the channel under test at each OSNR (dB).
+) -> np.ndarray:
+    """BER of the channel under test at each OSNR (dB), as a float64 array.
 
     Each point has the scenario and seed that ``required_osnr`` gives the
     same OSNR, so a sweep point and a search point at the same OSNR and
@@ -602,34 +591,25 @@ def sweep_osnr(
     point where the link cannot operate counts as BER 1 (see
     ``evaluate_point``).
     """
-    osnrs = np.asarray(list(osnrs), dtype=np.float64)
-    tasks = [(*_osnr_point(sc, v, seed), None) for v in osnrs]
-    return SweepResult(
-        axis=osnrs, ber=[max(cell.values()) for cell in _pool_map(tasks, workers)]
-    )
+    tasks = [_osnr_point(sc, v, seed) for v in osnrs]
+    return np.array(_pool_map(tasks, workers), dtype=np.float64)
 
 
 def sweep_detuning(
     sc: ScenarioConfig, offsets, seed: int = 0, workers: int | None = None
-) -> SweepResult:
-    """BER of the channel under test at each laser detuning offset.
+) -> np.ndarray:
+    """BER of the channel under test at each laser detuning offset (Hz).
 
-    An offset where the configured rate does not load (or timing is
-    unrecoverable) counts as BER 1, so fading-crippled points rank worst
-    instead of aborting the sweep.
+    Returns a float64 array in the order of ``offsets``.  An offset where
+    the configured rate does not load (or timing is unrecoverable) counts
+    as BER 1, so fading-crippled points rank worst instead of aborting the
+    sweep.
     """
-    offsets = np.asarray(list(offsets), dtype=np.float64)
     tasks = [
-        (
-            replace(sc, link=replace(sc.link, detuning=float(off))),
-            _seed_int(seed, 505, i),
-            None,
-        )
+        (replace(sc, link=replace(sc.link, detuning=float(off))), _seed_int(seed, 505, i))
         for i, off in enumerate(offsets)
     ]
-    return SweepResult(
-        axis=offsets, ber=[max(cell.values()) for cell in _pool_map(tasks, workers)]
-    )
+    return np.array(_pool_map(tasks, workers), dtype=np.float64)
 
 
 def sweep_reach(sc: ScenarioConfig, reaches_km, detunings_hz, seed: int = 0) -> np.ndarray:
@@ -713,13 +693,13 @@ def rate_reach_table(
         for ch in range(n_channels):
             hood = _neighborhood_scenario(sc, n_channels, ch)
             hood = replace(hood, link=replace(hood.link, span_lengths_km=spans))
-            tasks.append((hood, _seed_int(seed, 606, s_idx, ch), None))
+            tasks.append((hood, _seed_int(seed, 606, s_idx, ch)))
         rows.append(
             TableRow(
                 n_channels=n_channels,
                 net_rate=net_rate,
                 reach_km=reach_km,
-                channel_ber=tuple(cell[1] for cell in _pool_map(tasks, workers)),
+                channel_ber=tuple(_pool_map(tasks, workers)),
                 target_ber=base.gap.target_ber,
             )
         )

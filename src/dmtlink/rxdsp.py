@@ -28,12 +28,10 @@ from .core import (
     _CHUNK,
     _TABLE,
     _TABLE_START,
-    _freeze,
     _slicer,
 )
 
 __all__ = [
-    "DemodulatedFrame",
     "EqualizerState",
     "SyncNotFoundError",
     "SyncResult",
@@ -96,18 +94,6 @@ class EqualizerState:
             raise ValueError("taps must be one-dimensional")
         if not 0.0 <= self.step <= 1.0:
             raise ValueError("step must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DemodulatedFrame:
-    """Frequency-domain symbols split into training and payload rows."""
-
-    training: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "training", _freeze(np.asarray(self.training)))
-        object.__setattr__(self, "data", _freeze(np.asarray(self.data)))
 
 
 def sqrt_linearize(w: RealWaveform) -> RealWaveform:
@@ -204,8 +190,12 @@ def _sliding_sum(values: np.ndarray, width: int) -> np.ndarray:
     return cums[width:] - cums[:-width]
 
 
-def demodulate(w: RealWaveform, sync: SyncResult, cfg: DmtConfig) -> DemodulatedFrame:
+def demodulate(w: RealWaveform, sync: SyncResult, cfg: DmtConfig) -> np.ndarray:
     """Strip prefixes, FFT each symbol, and extract the data subcarriers.
+
+    Returns the frame's received subcarrier values, one row per symbol
+    (``n_training_symbols`` training rows first, then the data rows) and one
+    column per data subcarrier, as ``modulate_frame`` lays them out.
 
     Symbol windows are laid out every ``fft_size + cp_length`` samples from
     ``sync.start_index``; a start anywhere inside the cyclic prefix is a
@@ -226,11 +216,7 @@ def demodulate(w: RealWaveform, sync: SyncResult, cfg: DmtConfig) -> Demodulated
     period = np.roll(w.samples, -sync.start_index)[: n_symbols * sps]
     bodies = period.reshape(n_symbols, sps)[:, : cfg.fft_size]
     spectra = np.fft.rfft(bodies, axis=1) / np.sqrt(cfg.fft_size)
-    symbols = spectra[:, 1 : cfg.n_data_subcarriers + 1]
-    return DemodulatedFrame(
-        training=symbols[: cfg.n_training_symbols],
-        data=symbols[cfg.n_training_symbols :],
-    )
+    return spectra[:, 1 : cfg.n_data_subcarriers + 1]
 
 
 def channel_estimate(ts_rx: np.ndarray, ts_tx: np.ndarray, step: float = 0.05) -> EqualizerState:

@@ -19,7 +19,7 @@ def required_osnr_full_count(sc, target_ber=4e-3, tol_db=0.25, seed=0, bracket=(
 
     def ber(osnr_db):
         if osnr_db not in cache:
-            cache[osnr_db] = float(sweep_osnr(sc, [osnr_db], seed=seed).ber[0])
+            cache[osnr_db] = float(sweep_osnr(sc, [osnr_db], seed=seed)[0])
         return cache[osnr_db]
 
     if ber(hi) >= target_ber:

@@ -244,8 +244,9 @@ class TestAcceptance:
                 wave = frame.waveform
                 start = SyncResult(0, 1.0, 1)
 
+                n_ts = CFG.n_training_symbols
                 clean = demodulate(wave, start, CFG)
-                es = float(np.mean(np.abs(clean.data) ** 2))
+                es = float(np.mean(np.abs(clean[n_ts:]) ** 2))
                 unit_noise = demodulate(
                     RealWaveform(
                         rng.standard_normal(wave.samples.size), wave.sample_rate
@@ -253,16 +254,16 @@ class TestAcceptance:
                     start,
                     CFG,
                 )
-                bin_noise_var = float(np.mean(np.abs(unit_noise.data) ** 2))
+                bin_noise_var = float(np.mean(np.abs(unit_noise[n_ts:]) ** 2))
                 sigma = float(np.sqrt(es / (snr * bin_noise_var)))
 
                 noisy = RealWaveform(
                     wave.samples + rng.normal(0.0, sigma, wave.samples.size),
                     wave.sample_rate,
                 )
-                demod = demodulate(noisy, start, CFG)
-                state = channel_estimate(clean.training[1:], known_ts[1:], step=0.0)
-                equalized, _ = dd_equalize(demod.data, state, plan)
+                rx = demodulate(noisy, start, CFG)
+                state = channel_estimate(clean[1:n_ts], known_ts[1:], step=0.0)
+                equalized, _ = dd_equalize(rx[n_ts:], state, plan)
                 report = count_errors(demap_frame(equalized, plan), payload, plan)
                 errors += report.bit_errors
                 bits += report.bits_total
@@ -297,7 +298,8 @@ class TestAcceptance:
                     min_bits=400_000,
                 )
                 sc = replace(sc, link=replace(sc.link, osnr_db=osnr))
-                argmins[rate] = sweep_detuning(sc, offsets, seed=13, workers=2).argmin_axis
+                ber = sweep_detuning(sc, offsets, seed=13, workers=2)
+                argmins[rate] = offsets[np.argmin(ber)]
                 assert argmins[rate] > 0.0, f"{rate / 1e9:g} Gb/s best at 0 GHz"
             span = max(argmins.values()) - min(argmins.values())
             assert span <= step + 1.0, (

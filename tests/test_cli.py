@@ -510,36 +510,23 @@ class TestSweepCommand:
         assert serial_csv.read_bytes() == parallel_csv.read_bytes()
 
     def test_svg_flag_writes_selfcontained_plot(self, tmp_path):
-        """--svg emits one valid standalone SVG document per sweep."""
-        cfg = _write_config(tmp_path, loopback=True)
-        code = main(
-            [
-                "sweep",
-                "--config",
-                cfg,
-                "--axis",
-                "reach",
-                "--start",
-                "0",
-                "--stop",
-                "10",
-                "--step",
-                "10",
-                "--series-detuning-ghz",
-                "0,19",
-                "--svg",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        (svg_path,) = tmp_path.glob("sweep_reach_*.svg")
-        text = svg_path.read_text()
+        """--svg emits one valid standalone SVG document per sweep or fading profile."""
         import xml.dom.minidom
 
-        xml.dom.minidom.parseString(text)
-        assert text.startswith("<svg")
-        assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
+        cfg = _write_config(tmp_path, loopback=True)
+        commands = {
+            "sweep_reach": ["sweep", "--axis", "reach", "--start", "0", "--stop", "10",
+                            "--step", "10", "--series-detuning-ghz", "0,19"],
+            "fading": ["fading", "--reach-km", "80"],
+        }
+        for stem, command in commands.items():
+            out = tmp_path / stem
+            assert main(command + ["--config", cfg, "--svg", "--out-dir", str(out)]) == 0
+            (svg_path,) = out.glob(f"{stem}_*.svg")
+            text = svg_path.read_text()
+            xml.dom.minidom.parseString(text)
+            assert text.startswith("<svg"), stem
+            assert "http" not in text.replace("http://www.w3.org/2000/svg", ""), stem
 
     def test_reach_sweep_csv_one_column_per_detuning(self, tmp_path):
         """Reach sweeps emit one required-OSNR column per requested series."""
@@ -601,6 +588,25 @@ class TestSweepCommand:
         # 29 dB cannot carry the rate: recorded as BER 1, not a crash
         assert lines[1] == "29.0,1.0"
         assert float(lines[2].split(",")[1]) < 4e-3
+
+    def test_osnr_sweep_with_no_loading_point_says_so(self, tmp_path, capsys):
+        """A sweep where no point carries the rate names the target it missed."""
+        cfg = _write_config(tmp_path)
+        argv = ["sweep", "--config", cfg, "--axis", "osnr", "--start", "10", "--stop", "12",
+                "--step", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "no OSNR in range reaches BER 4.0e-03" in capsys.readouterr().out
+        (csv_path,) = tmp_path.glob("sweep_osnr_*.csv")
+        assert csv_path.read_text().splitlines()[1:] == ["10.0,1.0", "12.0,1.0"]
+
+    def test_empty_range_exits_2(self, tmp_path, capsys):
+        """A stop below the start leaves no point: a config error, nothing written."""
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", "osnr", "--start", "40", "--stop", "30", "--step", "2",
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "empty sweep range" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -686,6 +692,7 @@ class TestFilterAndReceiverSettings:
             ("rx_sample_rate_gsps", 400, "rx_sample_rate must"),
             ("rx_sample_rate_gsps", 0, "rx_sample_rate must"),
             ("rx_bandwidth_ghz", -5, "rx_bandwidth must"),
+            ("quantize_bits", 0, "quantize_bits"),
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, key, value, named):

@@ -164,6 +164,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=name):
             DmtConfig(**{name: value})
 
+    def test_negative_cyclic_prefix_rejected_by_name(self):
+        """A whole negative prefix length is an error naming cp_ratio, not a
+        shape error later in the modulator."""
+        with pytest.raises(ValueError, match="cp_ratio"):
+            DmtConfig(cp_ratio=-1 / 64)
+
     def test_plan_power_normalization(self):
         bits = np.array([2, 0, 4])
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from dmtlink.txdsp import build_training_symbols, clip, modulate_frame
 from optical_reference import OpticalField, photodiode
 
 CFG = DmtConfig()
+N_TS = CFG.n_training_symbols  # rows of demodulate's output before the data rows
 
 
 def _frame(plan, seed=0, payload_seed=1):
@@ -51,10 +52,10 @@ def _receive(waveform, plan, seed=0, step=0.05):
     capture = RealWaveform(stream, waveform.sample_rate)
     sync = schmidl_cox_sync(capture, CFG)
     start = pad + (sync.start_index - pad) % s.size
-    demod = demodulate(capture, SyncResult(start, sync.metric_peak, sync.plateau_width), CFG)
+    rx = demodulate(capture, SyncResult(start, sync.metric_peak, sync.plateau_width), CFG)
     known_ts = build_training_symbols(CFG, seed=seed)
-    state = channel_estimate(demod.training[1:], known_ts[1:], step=step)
-    equalized, _ = dd_equalize(demod.data, state, plan)
+    state = channel_estimate(rx[1:N_TS], known_ts[1:], step=step)
+    equalized, _ = dd_equalize(rx[N_TS:], state, plan)
     return demap_frame(equalized, plan)
 
 
@@ -183,8 +184,7 @@ class TestDemodulate:
         """With perfect timing the demodulated bins equal the loaded ones."""
         _, frame = _frame(self.PLAN)
         sync = SyncResult(start_index=CFG.cp_length, metric_peak=1.0, plateau_width=33)
-        demod = demodulate(frame.waveform, sync, CFG)
-        rx = np.vstack([demod.training, demod.data])
+        rx = demodulate(frame.waveform, sync, CFG)
         assert np.allclose(rx, frame.frequency_symbols, atol=1e-9)
 
     def test_offset_inside_guard_recovers_clean(self):
@@ -193,10 +193,10 @@ class TestDemodulate:
         for early in (1, 16, 32):
             w = frame.waveform
             sync = SyncResult(CFG.cp_length - early, 1.0, 33)
-            demod = demodulate(w, sync, CFG)
+            rx = demodulate(w, sync, CFG)
             ts = build_training_symbols(CFG, seed=0)
-            state = channel_estimate(demod.training[1:], ts[1:])
-            eq, _ = dd_equalize(demod.data, state, self.PLAN)
+            state = channel_estimate(rx[1:N_TS], ts[1:])
+            eq, _ = dd_equalize(rx[N_TS:], state, self.PLAN)
             report = count_errors(demap_frame(eq, self.PLAN), payload, self.PLAN)
             assert report.bit_errors == 0
 
@@ -206,10 +206,10 @@ class TestDemodulate:
         payload, frame = _frame(plan)
         tiled = RealWaveform(np.tile(frame.waveform.samples, 2), 64e9)
         sync = SyncResult(CFG.cp_length + 5, 1.0, 33)
-        demod = demodulate(tiled, sync, CFG)
+        rx = demodulate(tiled, sync, CFG)
         ts = build_training_symbols(CFG, seed=0)
-        state = channel_estimate(demod.training[1:], ts[1:])
-        eq, _ = dd_equalize(demod.data, state, plan)
+        state = channel_estimate(rx[1:N_TS], ts[1:])
+        eq, _ = dd_equalize(rx[N_TS:], state, plan)
         report = count_errors(demap_frame(eq, plan), payload, plan)
         assert report.bit_errors > 0
 
@@ -229,8 +229,7 @@ class TestDemodulate:
         rolled = RealWaveform(np.roll(frame.waveform.samples, k), 64e9)
         got = demodulate(rolled, SyncResult(start, 1.0, 33), CFG)
         want = demodulate(frame.waveform, SyncResult(CFG.cp_length, 1.0, 33), CFG)
-        assert np.array_equal(got.training, want.training)
-        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got, want)
 
 
 class TestChannelEstimate:
