@@ -3,8 +3,9 @@
 Ties the transmit DSP, the loading engine, the optical channel, and the
 receive DSP into seeded, reproducible experiments: single link runs with the
 train-then-measure two-pass structure (probe, load, count), the
-required-OSNR search (bisected on one probe frame sent once and received
-at each OSNR, with BER counted once at the edge it finds),
+required-OSNR search (on bisection's grid of OSNRs, steered by the SNR
+profiles of one probe frame sent once and received at each OSNR, with BER
+counted once at the edge it finds),
 detuning sweeps, and the rate/reach/channel-count table, with CSV/JSON
 persistence and a process pool for independent sweep points.
 
@@ -45,7 +46,6 @@ channel this way; a whole comb at its true slots is still one
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -64,7 +64,7 @@ from .core import (
     SubcarrierPlan,
     target_bits_per_symbol,
 )
-from .loading import GapConfig, chow_load, estimate_snr
+from .loading import GapConfig, _bit_capacity, chow_load, estimate_snr
 from .rxdsp import (
     SyncNotFoundError,
     channel_estimate,
@@ -112,6 +112,11 @@ TABLE_OSNR_DB = 38.0
 
 _OSNR_BRACKET_DB = (10.0, 50.0)
 """OSNR range, in dB, that ``required_osnr`` searches."""
+
+_MAX_HALVINGS = 40
+"""Most halvings of the OSNR bracket ``required_osnr`` accepts: its grid
+step is then at least 40 dB / 2**40, and its grid points are exact,
+distinct floats."""
 
 
 class InfeasibleOsnrError(RuntimeError):
@@ -496,6 +501,129 @@ def _osnr_point(sc: ScenarioConfig, osnr_db: float, seed: int):
     return replace(sc, link=replace(sc.link, osnr_db=float(osnr_db))), _seed_int(seed, 404)
 
 
+def _capacity_deficit(sc: ScenarioConfig, probed) -> int:
+    """Lowest loading capacity (``_bit_capacity``) over the lit channels of a
+    probed point, less ``sc.b_target``; a point whose sync is lost has
+    capacity 0.  The rate loads (``_load`` succeeds) exactly when it is >= 0.
+    """
+    if probed is None:
+        return -sc.b_target
+    snr, _timing = probed
+    gap, max_bits = sc.gap.gap_linear, sc.dmt.max_bits_per_subcarrier
+    return min(_bit_capacity(p.snr_linear, gap, max_bits) for p in snr.values()) - sc.b_target
+
+
+def _halvings(tol_db: float) -> int:
+    """The halvings K of the OSNR bracket that bisection to ``tol_db`` makes:
+    the least K with ``(top - bottom) / 2**K <= tol_db``.
+
+    Raises ``ValueError``, naming ``tol_db``, if it is not positive and
+    finite, or if it needs more than ``_MAX_HALVINGS`` halvings.
+    """
+    if not (math.isfinite(tol_db) and tol_db > 0):
+        raise ValueError(f"tol_db must be positive and finite, got {tol_db!r}")
+    bottom, top = _OSNR_BRACKET_DB
+    finest = (top - bottom) / 2**_MAX_HALVINGS
+    if tol_db < finest:
+        raise ValueError(
+            f"tol_db must be at least {finest:.3g} dB ({_MAX_HALVINGS} halvings of the "
+            f"{bottom:g}-{top:g} dB bracket), got {tol_db!r}"
+        )
+    halvings = 0
+    while (top - bottom) / 2**halvings > tol_db:
+        halvings += 1
+    return halvings
+
+
+def _grid_osnr(index: int, halvings: int) -> float:
+    """OSNR (dB) of a grid index: ``bottom + index * (top - bottom) / 2**halvings``,
+    the float bisection visits there."""
+    bottom, top = _OSNR_BRACKET_DB
+    return bottom + index * ((top - bottom) / 2**halvings)
+
+
+def _predicted_edge(sc: ScenarioConfig, halvings: int, probed: dict, lo: int, hi: int) -> int:
+    """The lowest grid index in ``(lo, hi]`` at which every lit channel's
+    predicted capacity reaches ``sc.b_target`` (``hi`` if no lower one does).
+
+    Each subcarrier's error variance is modelled as
+    ``1 / SNR(x) = a + b * 10**(-x / 10)`` at OSNR ``x``: ``b`` is the
+    signal-ASE beat, which scales with the ASE density, and ``a`` what the
+    OSNR does not set (distortion, clipping, fading residue, crosstalk).
+    Both are fitted from the profiles of the two probed indices in
+    ``probed`` (index -> ``_probe``'s ``(snr, timing)`` or None) nearest
+    the bracket, or with ``a = 0`` from the one there is, and clamped at 0
+    or above; a subcarrier with SNR 0 in either profile is predicted dead.
+    The prediction is arithmetic on the profiles; no frame runs.
+    """
+    known = sorted(
+        (k for k, found in probed.items() if found is not None),
+        key=lambda k: (max(lo - k, k - hi), k),
+    )[:2]
+    beat = [10 ** (-_grid_osnr(k, halvings) / 10) for k in known]
+    fits = []
+    for ch in probed[known[0]][0]:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            var = [1.0 / probed[k][0][ch].snr_linear for k in known]
+            dead = np.logical_or.reduce([~np.isfinite(v) for v in var])
+            if len(known) == 2:
+                b = (var[0] - var[1]) / (beat[0] - beat[1])
+                a = var[0] - b * beat[0]
+            else:
+                b, a = var[0] / beat[0], 0.0
+            fits.append((np.where(dead, np.inf, np.maximum(a, 0.0)),
+                         np.where(dead, 0.0, np.maximum(b, 0.0))))
+    gap, max_bits = sc.gap.gap_linear, sc.dmt.max_bits_per_subcarrier
+
+    def predicted_to_load(k: int) -> bool:
+        x = 10 ** (-_grid_osnr(k, halvings) / 10)
+        with np.errstate(divide="ignore"):
+            return all(
+                _bit_capacity(1.0 / (a + b * x), gap, max_bits) >= sc.b_target for a, b in fits
+            )
+
+    while hi - lo > 1:  # the predicted capacity is non-decreasing in x
+        mid = (lo + hi) // 2
+        if predicted_to_load(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _loading_edge(sc: ScenarioConfig, halvings: int, probe) -> tuple:
+    """Adjacent grid indices ``(lo, hi)``: ``hi`` loads, and ``lo`` fails or
+    is the unprobed bottom, index 0.
+
+    Index ``k`` is the OSNR ``_grid_osnr(k, halvings)``, and the top, index
+    ``2**halvings``, loads.  ``probe(k)`` returns ``_probe``'s ``(snr,
+    timing)`` there, or None where sync is lost; a point loads when its
+    ``_capacity_deficit`` is >= 0.  The next index is ``_predicted_edge``,
+    less one after a point that loads, so that the probe lands on the other
+    side of the edge from the last one.  It is taken only while bisection
+    from the larger side it could leave would end within ``2 * halvings -
+    1`` probes past the top; otherwise the midpoint is.  The prediction
+    only picks the point: where the verdict is monotone along the grid,
+    ``hi`` is the lowest index that loads, as bisection finds it.
+    """
+    lo, hi = 0, 2**halvings
+    probed = {hi: probe(hi)}
+    loaded, budget = True, 2 * halvings - 1
+    while hi - lo > 1:
+        edge = _predicted_edge(sc, halvings, probed, lo, hi)
+        k = min(max(edge - 1 if loaded else edge, lo + 1), hi - 1)
+        budget -= 1
+        if (max(k - lo, hi - k) - 1).bit_length() > budget:  # bisection's probes from there
+            k = (lo + hi) // 2
+        probed[k] = probe(k)
+        loaded = _capacity_deficit(sc, probed[k]) >= 0
+        if loaded:
+            hi = k
+        else:
+            lo = k
+    return lo, hi
+
+
 def _bisect(lo: float, hi: float, passes, tol_db: float):
     """Halve ``(lo, hi)``, ``lo`` failing and ``hi`` passing, to ``tol_db``."""
     while hi - lo > tol_db:
@@ -508,24 +636,30 @@ def _bisect(lo: float, hi: float, passes, tol_db: float):
 
 
 def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> float:
-    """OSNR needed to reach ``sc.gap.target_ber``, by bisection over 10-50 dB.
+    """OSNR needed to reach ``sc.gap.target_ber``, searched over 10-50 dB.
 
     Each point is the operating point ``sweep_osnr`` evaluates at that OSNR
     and seed; its loading adapts to the point, as in a trained
     transceiver.  The points share one run seed (``_osnr_point``), so they
     share payload, training symbols and noise draws, and differ only in the
-    noise scale sigma(x) the OSNR sets.  The bisection is steered by the
-    probe pass alone: a point passes when its rate loads (timing found,
-    Chow loading feasible).  The probe frame is sent once (``_send``); each
+    noise scale sigma(x) the OSNR sets.  The search is steered by the probe
+    pass alone: a point passes when its rate loads (timing found, Chow
+    loading feasible).  The probe frame is sent once (``_send``); each
     point then only receives a copy of its composite plus sigma(x) times
-    its unit noise draws, and runs the RX DSP and loading.  The bottom of
-    the bracket is probed only when the final bracket still touches it.
-    The frame is dropped, and the BER counted once, at the passing end of
-    the final bracket, continuing from that point's own probe (its plans
-    and timing; no second probe frame).  If that count misses the target,
-    the top of the bracket is counted, and the search bisects on counted
-    BER between the two, with a point that cannot operate counting as
-    BER 1; its probes send their own frames.
+    its unit noise draws, and runs the RX DSP and its SNR estimate.
+
+    The points probed are those a bisection to ``tol_db`` can visit,
+    ``10 + k * 40 / 2**K`` dB for its K halvings, each predicted from the
+    SNR profiles already probed (``_loading_edge``): a search probes 4-5
+    points where bisection probes K + 1, and at most 2K + 1.  On a verdict
+    monotone in the OSNR, the edge is the float bisection finds, the lowest
+    grid point that loads.  The bottom of the bracket is probed only when
+    the final bracket still touches it.  The frame is dropped, and the BER
+    counted once, at the passing end of the final bracket, continuing from
+    that point's own probe (its plans and timing; no second probe frame).
+    If that count misses the target, the top of the bracket is counted, and
+    the search bisects on counted BER between the two, with a point that
+    cannot operate counting as BER 1; its probes send their own frames.
 
     Returns a point whose BER was counted below the target: the bottom of
     the bracket, or a point within ``tol_db`` above one seen to fail.
@@ -533,40 +667,43 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
     Raises
     ------
     ValueError
-        If ``tol_db`` is not a positive finite number (checked before any
-        frame runs).
+        If ``tol_db`` is not a positive finite number, or is finer than
+        ``40 / 2**40`` dB (about 3.6e-11 dB; 40 halvings of the bracket,
+        past which grid points are not distinct floats), checked before any
+        frame runs.
     InfeasibleOsnrError
         If the link cannot operate at the top of the bracket, or its
         counted BER misses the target.
     """
-    if not (math.isfinite(tol_db) and tol_db > 0):
-        raise ValueError(f"tol_db must be positive and finite, got {tol_db!r}")
-
+    halvings = _halvings(tol_db)
     bottom, top = _OSNR_BRACKET_DB
     target_ber = sc.gap.target_ber
     cut = sc.link.cut_index
-    trained, ber = {}, {}
+    probed, ber = {}, {}
+
+    def probe(osnr_db: float, sent=None):
+        if osnr_db not in probed:
+            point = _osnr_point(sc, osnr_db, seed)
+            probed[osnr_db] = (point, _operable(_probe, *point, sent))
+        return probed[osnr_db][1]
 
     def loads(osnr_db: float, sent=None) -> bool:
-        if osnr_db not in trained:
-            point = _osnr_point(sc, osnr_db, seed)
-            trained[osnr_db] = (point, _operable(_train, *point, sent))
-        return trained[osnr_db][1] is not None
+        return _capacity_deficit(sc, probe(osnr_db, sent)) >= 0
 
     def passes(osnr_db: float) -> bool:
         if osnr_db not in ber:
             ber[osnr_db] = 1.0
             if loads(osnr_db):
-                point, (plans, timing) = trained[osnr_db]
-                ber[osnr_db] = _count(*point, plans, timing, [cut])[cut].ber
+                point, (snr, timing) = probed[osnr_db]
+                ber[osnr_db] = _count(*point, _load(sc, snr), timing, [cut])[cut].ber
         return ber[osnr_db] < target_ber
 
     top_sc, run_seed = _osnr_point(sc, top, seed)
     sent = _send(top_sc, _probe_plans(sc), 0, run_seed, sc.link.lit_channels)
     if not loads(top, sent):
         raise InfeasibleOsnrError(f"the link cannot operate at {top:.1f} dB OSNR")
-    lo, hi = _bisect(bottom, top, functools.partial(loads, sent=sent), tol_db)
-    edge = lo if lo == bottom and loads(lo, sent) else hi
+    lo, hi = _loading_edge(sc, halvings, lambda k: probe(_grid_osnr(k, halvings), sent))
+    edge = bottom if lo == 0 and loads(bottom, sent) else _grid_osnr(hi, halvings)
     del sent  # dropped before the first payload frame
     if passes(edge):
         return edge

@@ -162,11 +162,19 @@ def estimate_snr(rx_frame: np.ndarray, known_tx: np.ndarray, cfg: DmtConfig) -> 
     return SnrProfile(snr)
 
 
+def _bit_capacity(snr: np.ndarray, gap: float, max_bits: int) -> int:
+    """Bits per symbol a linear SNR profile can carry at ``gap``.
+
+    ``sum(min(max_bits, floor(log2(1 + SNR_i / gap))))``: the feasibility
+    criterion both loaders share.  An infinite SNR carries ``max_bits``.
+    """
+    ceiling = np.floor(np.log2(1.0 + snr / gap))
+    return int(np.sum(np.minimum(ceiling, max_bits).astype(np.int64)))
+
+
 def _assert_feasible(snr: np.ndarray, b_target: int, gap: float, max_bits: int) -> None:
     """Raise ``InfeasibleRateError`` when the profile cannot carry ``b_target``."""
-    with np.errstate(divide="ignore"):
-        ceiling = np.floor(np.log2(1.0 + snr / gap))
-    achievable = int(np.sum(np.minimum(ceiling, max_bits).astype(np.int64)))
+    achievable = _bit_capacity(snr, gap, max_bits)
     if achievable < b_target:
         raise InfeasibleRateError(
             f"profile supports at most {achievable} bits per symbol at this gap, "

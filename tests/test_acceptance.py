@@ -59,6 +59,19 @@ pytestmark = pytest.mark.acceptance
 RATES = (56e9, 64e9, 74.7e9, 89.6e9, 112e9)
 CFG = DmtConfig()
 
+LADDER_POINTS = [(rate, reach, 19e9) for reach in (0.0, 50.0) for rate in RATES] + [
+    (rate, 50.0, 0.0) for rate in RATES[1:]
+]
+"""The (rate, reach, detuning) points of criteria 6-7's required-OSNR ladder."""
+
+# Criterion 9's table: its base scenario, the rows that must pass, and the
+# next-higher rate at each of their reaches, which must fail.
+TABLE_BASE = ScenarioConfig(
+    link=LinkConfig(osnr_db=38.0, detuning=19e9), min_bits=300_000, min_errors=100
+)
+TABLE_PASS_SET = ((5, 89.6e9, 40.0), (6, 74.7e9, 80.0), (7, 64e9, 160.0), (8, 56e9, 240.0))
+TABLE_FAIL_SET = ((5, 112e9, 40.0), (6, 89.6e9, 80.0), (7, 74.7e9, 160.0), (8, 64e9, 240.0))
+
 
 @contextmanager
 def _gate(num: int, name: str):
@@ -123,10 +136,8 @@ def osnr_ladder():
     depends only on its point and seed, so the points run on two worker
     processes.
     """
-    points = [(rate, reach, 19e9) for reach in (0.0, 50.0) for rate in RATES]
-    points += [(rate, 50.0, 0.0) for rate in RATES[1:]]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        return dict(zip(points, pool.map(_ladder_point, points)))
+        return dict(zip(LADDER_POINTS, pool.map(_ladder_point, LADDER_POINTS)))
 
 
 class TestAcceptance:
@@ -346,22 +357,14 @@ class TestAcceptance:
         next-higher rate at the same reach fails; all inside 30 minutes."""
         with _gate(9, "rate/reach table"):
             t0 = time.perf_counter()
-            base = ScenarioConfig(
-                link=LinkConfig(osnr_db=38.0, detuning=19e9),
-                min_bits=300_000,
-                min_errors=100,
-            )
-            pass_set = ((5, 89.6e9, 40.0), (6, 74.7e9, 80.0), (7, 64e9, 160.0), (8, 56e9, 240.0))
-            fail_set = ((5, 112e9, 40.0), (6, 89.6e9, 80.0), (7, 74.7e9, 160.0), (8, 64e9, 240.0))
-
             violations = []
-            for row in rate_reach_table(base, seed=7, workers=2, scenarios=pass_set):
+            for row in rate_reach_table(TABLE_BASE, seed=7, workers=2, scenarios=TABLE_PASS_SET):
                 if not row.passes:
                     violations.append(
                         f"{row.n_channels} x {row.net_rate / 1e9:g} Gb/s at "
                         f"{row.reach_km:g} km: worst BER {row.worst_ber:.3e}"
                     )
-            for row in rate_reach_table(base, seed=7, workers=2, scenarios=fail_set):
+            for row in rate_reach_table(TABLE_BASE, seed=7, workers=2, scenarios=TABLE_FAIL_SET):
                 if row.passes:
                     violations.append(
                         f"{row.n_channels} x {row.net_rate / 1e9:g} Gb/s at "

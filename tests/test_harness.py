@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dmtlink.channel as channel_mod
 import dmtlink.harness as harness_mod
@@ -33,7 +34,7 @@ from dmtlink.harness import (
     sweep_osnr,
     sweep_reach,
 )
-from dmtlink.loading import GapConfig, gap_from_ber
+from dmtlink.loading import GapConfig, SnrProfile, _bit_capacity, gap_from_ber
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 from search_reference import required_osnr_full_count
 from span_frame import span_captures
@@ -387,6 +388,9 @@ class TestRequiredOsnr:
 SEARCH_SEEDS = (1, 2, 3)
 SEARCH_DETUNINGS = (14.25e9, 19e9)
 SEARCH_TOL_DB = 1.0
+SEARCH_PROBES = 4
+"""Probe points of each search on ``_search_scenario``: the top and three the
+SNR profiles predict (bisection probes ``1 + _probe_steps()``, 7)."""
 
 
 def _search_scenario(detuning):
@@ -444,11 +448,11 @@ class TestProbeSteeredSearch:
             assert ber[0] < 4e-3 and ber[1] >= 4e-3, (det, seed, value)
 
     def test_probes_then_one_count_at_the_edge(self, searched):
-        """The top, one probe per halving, then one count; the bottom is
+        """The top, three predicted points, then one count; the bottom is
         never probed, since the final bracket no longer touches it."""
         sc = _search_scenario(SEARCH_DETUNINGS[0])
         payload = math.ceil(sc.min_bits / sc.bits_per_frame)
-        expected = [0] * (1 + _probe_steps()) + list(range(1, payload + 1))
+        expected = [0] * SEARCH_PROBES + list(range(1, payload + 1))
         for key, (value, stages) in searched.items():
             assert value > 10.0 + SEARCH_TOL_DB
             assert stages == expected, key
@@ -479,6 +483,20 @@ class TestProbeSteeredSearch:
         with pytest.raises(ValueError, match="tol_db"):
             required_osnr(_fast_optical(), tol_db=tol_db)
 
+    @pytest.mark.parametrize("tol_db", [1e-16, 0.99 * 40 / 2**40])
+    def test_tolerance_past_forty_halvings_is_refused(self, monkeypatch, tol_db):
+        """A grid finer than 40 halvings of the bracket is refused before any
+        frame runs; below float resolution the bracket would never close."""
+
+        def no_frame(*args):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness_mod, "_send", no_frame)
+        monkeypatch.setattr(harness_mod, "_transmit_once", no_frame)
+        with pytest.raises(ValueError, match="tol_db"):
+            required_osnr(_fast_optical(), tol_db=tol_db)
+        assert harness_mod._halvings(40 / 2**40) == 40
+
 
 class TestSearchPolicy:
     """The search's decisions on a stand-in link: a point loads from
@@ -488,25 +506,28 @@ class TestSearchPolicy:
     def _stand_in(monkeypatch, loads_db, passes_db, ber_above=1e-4):
         probed, counted = [], []
 
-        def train(sc, seed, sent):
+        def probe(sc, seed, sent):
+            """A flat profile whose SNR scales with the OSNR, one bit per
+            subcarrier short of ``b_target`` below ``loads_db``."""
             probed.append(sc.link.osnr_db)
-            if sc.link.osnr_db < loads_db:
-                raise InfeasibleRateError("rate does not load")
-            return "plans", "timing"
+            n = sc.dmt.n_data_subcarriers
+            bits = -(-sc.b_target // n)
+            snr = sc.gap.gap_linear * (2**bits - 1) * 10 ** ((sc.link.osnr_db - loads_db) / 10)
+            return {ch: SnrProfile(np.full(n, snr)) for ch in sc.link.lit_channels}, "timing"
 
         def count(sc, seed, plans, timing, channels):
             counted.append(sc.link.osnr_db)
             ber = ber_above if sc.link.osnr_db >= passes_db else 1e-2
             return {ch: SimpleNamespace(ber=ber) for ch in channels}
 
-        monkeypatch.setattr(harness_mod, "_train", train)
+        monkeypatch.setattr(harness_mod, "_probe", probe)
         monkeypatch.setattr(harness_mod, "_count", count)
         return probed, counted
 
     def test_edge_that_counts_below_target_is_returned(self, monkeypatch):
         probed, counted = self._stand_in(monkeypatch, loads_db=30.5, passes_db=0.0)
         assert required_osnr(_fast_optical(), tol_db=1.0) == 30.625
-        assert probed == [50.0, 30.0, 40.0, 35.0, 32.5, 31.25, 30.625]
+        assert probed == [50.0, 30.0, 30.625]
         assert counted == [30.625]
 
     def test_edge_that_misses_falls_back_to_counted_bisection(self, monkeypatch):
@@ -518,7 +539,7 @@ class TestSearchPolicy:
     def test_bottom_is_probed_when_the_final_bracket_touches_it(self, monkeypatch):
         probed, counted = self._stand_in(monkeypatch, loads_db=0.0, passes_db=0.0)
         assert required_osnr(_fast_optical(), tol_db=10.0) == 10.0
-        assert probed == [50.0, 30.0, 20.0, 10.0]
+        assert probed == [50.0, 20.0, 10.0]
         assert counted == [10.0]
 
     def test_judged_at_the_scenarios_target(self, monkeypatch):
@@ -534,6 +555,87 @@ class TestSearchPolicy:
             required_osnr(_fast_optical())
         assert probed == [50.0]
         assert counted == []
+
+
+def _grid_probe(sc, capacities, sync_lost):
+    """A stand-in ``probe(k)`` for ``_loading_edge``: at grid index ``k``, a
+    profile of the channel under test that carries exactly ``capacities[k]``
+    bits (full subcarriers, one partial, the rest at SNR 0), or None where
+    the capacity is 0 and ``sync_lost`` is set.  Returns it and the list of
+    indices probed."""
+    n, top, gap = sc.dmt.n_data_subcarriers, sc.dmt.max_bits_per_subcarrier, sc.gap.gap_linear
+    calls = []
+
+    def probe(k):
+        calls.append(k)
+        if sync_lost and capacities[k] == 0:
+            return None
+        full, rest = divmod(capacities[k], top)
+        snr = np.zeros(n)
+        snr[:full] = 1.5 * gap * (2**top - 1)
+        if full < n:
+            snr[full] = 1.01 * gap * (2**rest - 1)
+        assert _bit_capacity(snr, gap, top) == capacities[k]
+        return {sc.link.cut_index: SnrProfile(snr)}, "timing"
+
+    return probe, calls
+
+
+class TestGridRoot:
+    """``_loading_edge`` on synthetic profiles, against ``_bisect`` on the
+    same verdicts: a point loads when its capacity reaches ``b_target``."""
+
+    SC = _fast_optical()
+
+    def _check(self, tol_db, capacities, sync_lost):
+        sc = self.SC
+        halvings = harness_mod._halvings(tol_db)
+        step = 40.0 / 2**halvings
+
+        def loads_at(osnr_db):
+            k = round((osnr_db - 10.0) / step)
+            assert harness_mod._grid_osnr(k, halvings) == osnr_db  # bisection's own floats
+            return capacities[k] >= sc.b_target
+
+        probe, calls = _grid_probe(sc, capacities, sync_lost)
+        lo, hi = harness_mod._loading_edge(sc, halvings, probe)
+        want = harness_mod._bisect(10.0, 50.0, loads_at, tol_db)
+        assert (harness_mod._grid_osnr(lo, halvings), harness_mod._grid_osnr(hi, halvings)) == want
+        assert len(calls) == len(set(calls))
+        assert len(calls) + (lo == 0) <= 2 * halvings + 1  # the bottom is probed after
+        return calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tol_db=st.sampled_from([0.125, 0.25, 1.0, 10.0]),
+        base=st.one_of(st.just(0), st.integers(0, 2000)),
+        steps=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2000)), max_size=6),
+        sync_lost=st.booleans(),
+    )
+    @example(tol_db=0.125, base=0, steps=[(0.37, 4000)], sync_lost=False)  # one jump
+    @example(tol_db=0.25, base=4000, steps=[], sync_lost=False)  # loads everywhere
+    @example(tol_db=1.0, base=500, steps=[(0.2, 0), (0.5, 1500), (0.9, 700)], sync_lost=True)
+    def test_same_edge_as_bisection(self, tol_db, base, steps, sync_lost):
+        """Non-decreasing capacities with plateaus, jumps and points that
+        lose sync; the top always loads."""
+        n = 2 ** harness_mod._halvings(tol_db)
+        top = self.SC.dmt.n_data_subcarriers * self.SC.dmt.max_bits_per_subcarrier
+        capacities = [
+            min(top, base + sum(inc for frac, inc in steps if int(frac * n) <= k))
+            for k in range(n + 1)
+        ]
+        capacities[n] = max(capacities[n], self.SC.b_target)
+        self._check(tol_db, capacities, sync_lost)
+
+    @pytest.mark.parametrize("sync_lost", [False, True])
+    def test_flat_profiles_fall_back_to_midpoints(self, sync_lost):
+        """One jump from 0 to full capacity: the profiles on either side of it
+        show no slope, the prediction creeps by one index, and the midpoints
+        keep the search within 2K + 1 probes, not the 200 of a creep."""
+        n = 2**9
+        capacities = [0] * 300 + [self.SC.b_target * 2] * (n + 1 - 300)
+        calls = self._check(0.125, capacities, sync_lost)
+        assert len(calls) <= 2 * 9 + 1
 
 
 class TestSharedProbe:
@@ -580,7 +682,7 @@ class TestSharedProbe:
         sc = self._scenario()
         required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=1)
         assert len(composed) == 1
-        assert len(received) == 1 + _probe_steps()
+        assert len(received) == SEARCH_PROBES
         assert len({link.osnr_db for link, *_ in received}) == len(received)
         for link, rx, noise_seed, captures in received:
             want = span_captures(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)

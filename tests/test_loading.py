@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from dmtlink.core import DmtConfig, InfeasibleRateError
 from dmtlink.loading import (
+    SNR_CAP_LINEAR,
     GapConfig,
     SnrProfile,
+    _bit_capacity,
     chow_load,
     estimate_snr,
     gap_from_ber,
@@ -142,6 +145,32 @@ class TestChowLoad:
         plan = chow_load(snr, 150, GapConfig(), max_bits=8)
         assert int(plan.bits.sum()) == 150
         assert plan.powers.sum() == pytest.approx(np.count_nonzero(plan.bits), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        snr=st.lists(
+            st.one_of(st.just(0.0), st.just(SNR_CAP_LINEAR), st.floats(0.0, SNR_CAP_LINEAR)),
+            min_size=1,
+            max_size=64,
+        ),
+        max_bits=st.integers(1, 8),
+        gap_linear=st.floats(1.0, 100.0),
+        data=st.data(),
+    )
+    def test_capacity_decides_feasibility(self, snr, max_bits, gap_linear, data):
+        """``chow_load`` refuses exactly the targets above ``_bit_capacity``,
+        and reports that capacity as ``max_achievable``."""
+        b_target = data.draw(st.integers(1, len(snr) * max_bits + 4), label="b_target")
+        capacity = _bit_capacity(np.array(snr), gap_linear, max_bits)
+        gap = GapConfig(gap_linear=gap_linear)
+        try:
+            plan = chow_load(SnrProfile(snr), b_target, gap, max_bits=max_bits)
+        except InfeasibleRateError as exc:
+            assert capacity < b_target
+            assert exc.max_achievable == capacity
+        else:
+            assert capacity >= b_target
+            assert int(plan.bits.sum()) == b_target
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
