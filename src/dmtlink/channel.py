@@ -4,8 +4,11 @@ A frame crosses the span in one frequency-domain pass from modulator to
 receiver, in steps: ``compose`` sums the launched comb after dispersion,
 ``noise_draws`` draws the unit noise over the bins a receiver passes, and
 ``receive`` scales that noise to the OSNR, adds it as a spectrum and
-detects each receiver on a grid that holds only its own passband.  Only
-``receive`` depends on the OSNR.  ``end_to_end_fading_profile`` probes the
+detects each receiver on a grid that holds only its own passband.  A frame
+received at several OSNRs is instead detected once (``detect``: the
+detection is a quadratic in the noise scale, kept as its three terms) and
+captured at each OSNR (``capture``).  Only ``receive`` and ``capture``
+depend on the OSNR.  ``end_to_end_fading_profile`` probes the
 same pieces (the modulator transfer, the dispersion phase and the filter
 responses) with one tone at a time.
 
@@ -16,7 +19,8 @@ time, in one buffer of the composite's size where that channel's drive,
 field and launched spectrum are built in turn; the launch port is
 evaluated in blocks of bins, so no grid-sized frequency or port array
 exists.  ``receive`` adds the noise draws and one receiver's detection
-grid at a time.
+grid at a time.  ``detect`` keeps, in place of the composite, three
+spectra of the kept bins per receiver.
 
 Sign conventions, documented once here:
 
@@ -48,7 +52,9 @@ __all__ = [
     "FilterSpec",
     "LinkConfig",
     "SPEED_OF_LIGHT",
+    "capture",
     "compose",
+    "detect",
     "end_to_end_fading_profile",
     "noise_draws",
     "receive",
@@ -310,6 +316,16 @@ def _dispersion_phase(
     return np.pi * d_si * (length_km * 1e3) * lam**2 * freq**2 / SPEED_OF_LIGHT
 
 
+def _noise_scale(n: int, sample_rate: float, osnr_db: float, power: float) -> float:
+    """``sqrt(n) * sigma``: the factor on each unit draw of an ``n``-bin spectrum
+    that puts a signal of ``power`` at ``osnr_db`` (see ``_add_osnr_noise``)."""
+    if power <= 0:
+        raise ValueError("cannot set a finite OSNR on a zero-power field")
+    psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
+    sigma = np.sqrt(psd * sample_rate / 2.0)
+    return np.sqrt(n) * sigma
+
+
 def _add_osnr_noise(
     spectrum: np.ndarray,
     band: np.ndarray,
@@ -327,14 +343,10 @@ def _add_osnr_noise(
     ``draws`` (``noise_draws``) holds its ``2 * m`` unit draws for their
     ``m`` bins, the first ``m`` the real parts and the next ``m`` the
     imaginary parts.  Each bin gains its unit draw times
-    ``sqrt(n) * sigma``, the only factor that depends on the OSNR and the
-    power; ``draws`` is read, not changed.
+    ``sqrt(n) * sigma`` (``_noise_scale``), the only factor that depends on
+    the OSNR and the power; ``draws`` is read, not changed.
     """
-    if power <= 0:
-        raise ValueError("cannot set a finite OSNR on a zero-power field")
-    psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
-    sigma = np.sqrt(psd * sample_rate / 2.0)
-    scale = np.sqrt(spectrum.size) * sigma
+    scale = _noise_scale(spectrum.size, sample_rate, osnr_db, power)
     m = draws.size // 2
     at = 0
     for start, stop in band:
@@ -349,32 +361,27 @@ def _mean_power(spectrum: np.ndarray) -> float:
     return float(np.vdot(spectrum, spectrum).real) / spectrum.size**2
 
 
-def _capture(
-    spectrum: np.ndarray,
-    n_in: int,
-    in_rate: float,
-    bandwidth: float,
-    out_rate: float,
-    quantize_bits: int | None,
-) -> RealWaveform:
-    """Receiver front end on the detected signal's lowest rfft bins.
+def _kept_frequencies(n_in: int, in_rate: float, kept: int) -> np.ndarray:
+    """The first ``kept`` frequencies of ``np.fft.rfftfreq(n_in, 1 / in_rate)``,
+    with its arithmetic, and no others."""
+    return np.arange(kept) * (1.0 / (n_in * (1.0 / in_rate)))
 
-    The front end applies a zero-phase 4th-order Butterworth magnitude
-    response ``|H(f)| = 1/sqrt(1 + (f/bandwidth)^8)`` (the capture path is
-    modeled as delay-free), resamples to ``out_rate``, and, when
-    ``quantize_bits`` is set, quantizes uniformly over +/- 4 standard
-    deviations around the mean.  ``spectrum`` holds at least the
-    ``n_out // 2 + 1`` bins the capture keeps, on the scale of the rfft of
-    the ``n_in``-sample signal; only those bins are filtered, in place,
-    and one ``irfft`` makes the capture.
-    """
-    if out_rate > in_rate:
-        raise ValueError("out_rate must not exceed the input rate")
-    n_out = _spectral.output_length(n_in, in_rate, out_rate)
-    kept = n_out // 2 + 1
-    spectrum = spectrum[:kept]
-    freq = np.fft.rfftfreq(n_in, d=1.0 / in_rate)[:kept]
+
+def _front_end(spectrum: np.ndarray, n_in: int, in_rate: float, bandwidth: float) -> None:
+    """Apply the front end's response, in place, to the lowest rfft bins of an
+    ``n_in``-sample signal at ``in_rate``: a zero-phase 4th-order Butterworth
+    magnitude ``|H(f)| = 1/sqrt(1 + (f/bandwidth)^8)`` (the capture path is
+    modeled as delay-free)."""
+    freq = _kept_frequencies(n_in, in_rate, spectrum.size)
     spectrum /= np.sqrt(1.0 + (freq / bandwidth) ** 8)
+
+
+def _digitize(
+    spectrum: np.ndarray, n_in: int, n_out: int, out_rate: float, quantize_bits: int | None
+) -> RealWaveform:
+    """The capture from its filtered bins: one ``irfft`` to ``n_out`` samples
+    at ``out_rate`` and, when ``quantize_bits`` is set, a uniform quantizer
+    over +/- 4 standard deviations around the mean."""
     samples = _spectral.irfft_resized(spectrum, n_in, n_out)
     if quantize_bits is not None:
         mean = samples.mean()
@@ -388,6 +395,31 @@ def _capture(
             )
             samples = codes * lsb + mean
     return RealWaveform(samples, out_rate)
+
+
+def _capture(
+    spectrum: np.ndarray,
+    n_in: int,
+    in_rate: float,
+    bandwidth: float,
+    out_rate: float,
+    quantize_bits: int | None,
+) -> RealWaveform:
+    """Receiver front end on the detected signal's lowest rfft bins.
+
+    The front end applies its response (``_front_end``), resamples to
+    ``out_rate`` and, when ``quantize_bits`` is set, quantizes
+    (``_digitize``).  ``spectrum`` holds at least the ``n_out // 2 + 1``
+    bins the capture keeps, on the scale of the rfft of the ``n_in``-sample
+    signal; only those bins are filtered, in place, and one ``irfft`` makes
+    the capture.
+    """
+    if out_rate > in_rate:
+        raise ValueError("out_rate must not exceed the input rate")
+    n_out = _spectral.output_length(n_in, in_rate, out_rate)
+    spectrum = spectrum[: n_out // 2 + 1]
+    _front_end(spectrum, n_in, in_rate, bandwidth)
+    return _digitize(spectrum, n_in, n_out, out_rate, quantize_bits)
 
 
 def _smooth_length(m: int) -> int:
@@ -642,9 +674,10 @@ def receive(
     to rounding, at about 0.7 of its transform length.
 
     Works in place: the noise lands in ``composite`` and the last receiver
-    detects in its buffer, so a caller receiving one composite at several
-    OSNRs passes a copy each time.  Returns receive channel -> front-end
-    capture at ``link.rx_sample_rate``.
+    detects in its buffer.  A caller receiving one composite at several
+    OSNRs detects it once (``detect``) and captures it at each
+    (``capture``).  Returns receive channel -> front-end capture at
+    ``link.rx_sample_rate``.
     """
     rate = link.grid_rate
     n = composite.size
@@ -680,27 +713,177 @@ def receive(
     return captures
 
 
+def detect(
+    link: LinkConfig,
+    composite: np.ndarray,
+    cut_power: float | None,
+    rx_channels,
+    draws: np.ndarray | None,
+) -> tuple:
+    """Detect ``compose``'s composite once, for captures at any OSNR (``capture``).
+
+    Each receiver's field is ``E = E_s + s * E_w``: ``E_s`` is the
+    composite's window through its ports, laid as ``receive`` lays it;
+    ``E_w`` is the unit draws (``noise_draws`` for ``rx_channels``) laid
+    the same way, straight from the noise band; and ``s`` is the noise
+    scale an OSNR sets (``_noise_scale``).  The detected signal is then
+    ``|E|^2 = A + 2 s B + s^2 C``, with ``A = |E_s|^2``,
+    ``B = Re(conj(E_s) E_w)`` and ``C = |E_w|^2``, and what follows up to
+    the capture's ``irfft`` is linear: each term is transformed once, and
+    its kept bins are scaled to the frame and passed through the front end
+    (``_front_end``).
+
+    Works in place, as ``receive`` does: each receiver lays and transforms
+    ``E_w`` first, the last one detects ``E_s`` in the composite's buffer,
+    and each field goes once its terms are formed.  Returns
+    ``(n, power, terms)``: the frame's bins; the power the OSNR refers to,
+    ``cut_power`` or else the composite's (``None`` without draws); and
+    receive channel -> read-only ``(A, B, C)`` spectra of the kept bins,
+    ``B`` and ``C`` ``None`` without draws.
+    """
+    rate = link.grid_rate
+    n = composite.size
+    rx_channels = list(rx_channels)
+    operators = _span_operators(replace(link, osnr_db=np.inf), n)
+    noisy = draws is not None
+    power = band = None
+    if noisy:
+        power = _mean_power(composite) if cut_power is None else cut_power
+        band = operators.noise_band(rx_channels)
+    kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
+
+    def kept_spectrum(detected: np.ndarray, size: int) -> np.ndarray:
+        spectrum = np.fft.rfft(detected)[:kept].copy()
+        spectrum *= size / n  # onto the scale of the n-sample detection
+        _front_end(spectrum, n, rate, link.rx_bandwidth)
+        spectrum.flags.writeable = False
+        return spectrum
+
+    terms = {}
+    for i, ch in enumerate(rx_channels):
+        start, width = operators.receive_window(ch)
+        size = min(_smooth_length(max(width, kept) + kept), n)
+        port = operators.receive_port(ch)
+        b = c = None
+        if noisy:
+            noise = np.zeros(size, dtype=np.complex128)
+            _lay_noise(noise, draws, band, port, start, width, n)
+            np.fft.ifft(noise, out=noise)
+        last = i + 1 == len(rx_channels)
+        field = composite[:size] if last else np.empty(size, dtype=np.complex128)
+        _lay_window(field, composite, port, start, width)
+        np.fft.ifft(field, out=field)
+        if noisy:
+            detected = np.abs(noise)
+            c = kept_spectrum(np.square(detected, out=detected), size)
+            np.multiply(field.real, noise.real, out=detected)
+            detected += field.imag * noise.imag
+            del noise
+            b = kept_spectrum(detected, size)
+        detected = np.abs(field)
+        del field
+        a = kept_spectrum(np.square(detected, out=detected), size)
+        del detected
+        terms[ch] = (a, b, c)
+    return n, power, terms
+
+
+def capture(link: LinkConfig, detected: tuple, rx_channels) -> dict:
+    """Capture ``rx_channels`` of a ``detect``-ed frame at ``link.osnr_db``.
+
+    Each receiver's kept bins are ``A + 2 s B + s^2 C`` with ``s`` the noise
+    scale of the OSNR (``_noise_scale``; 0 at an infinite OSNR), and
+    ``_digitize`` makes the capture from them, as in ``receive``.  The
+    captures agree with ``receive``'s on the same frame to rounding.
+    ``detected`` is read, not changed, so one detection serves every OSNR.
+    Returns receive channel -> front-end capture at ``link.rx_sample_rate``.
+    """
+    n, power, terms = detected
+    rate = link.grid_rate
+    scale = 0.0
+    if np.isfinite(link.osnr_db):
+        if power is None:
+            raise ValueError(f"a finite OSNR ({link.osnr_db} dB) needs the frame's noise draws")
+        scale = _noise_scale(n, rate, link.osnr_db, power)
+    n_out = _spectral.output_length(n, rate, link.rx_sample_rate)
+    captures = {}
+    for ch in rx_channels:
+        a, b, c = terms[ch]
+        if scale:  # (s C / 2 + B) 2 s + A, with no temporary
+            spectrum = c * (0.5 * scale)
+            spectrum += b
+            spectrum *= 2.0 * scale
+            spectrum += a
+        else:
+            spectrum = a  # read, not changed
+        captures[ch] = _digitize(spectrum, n, n_out, link.rx_sample_rate, link.quantize_bits)
+    return captures
+
+
+def _window_runs(n: int, size: int, start: int, width: int) -> tuple:
+    """Where one receiver's window of ``width`` bins from ``start`` lands on
+    its ``size``-bin detection grid.
+
+    Returns two runs ``(a, b, to)``, bins ``[a, b)`` of the ``n``-bin frame
+    landing at ``[to, to + b - a)``: the wrapped run ``[0, low)`` stays in
+    place, and the upper run ``[start, stop)`` moves down by one shift when
+    it would pass the grid's end.  Each bin lands at its signed frequency
+    modulo ``size``, or all are moved down by one shift when they do not
+    wrap; a constant shift modulo the grid leaves ``|E|^2`` unchanged.
+    """
+    stop = min(start + width, n)
+    low = start + width - stop
+    shift = max(stop - size, 0)
+    return (0, low, 0), (start, stop, start - shift)
+
+
 def _lay_window(
     field: np.ndarray, composite: np.ndarray, port: np.ndarray, start: int, width: int
 ) -> None:
     """Lay one receiver's window of ``composite * port`` onto its detection grid.
 
     Bins ``[start, start + width)``, modulo the composite's ``n``, land on
-    ``field`` at their signed frequency modulo ``field.size``, or all
-    moved down by one shift when they do not wrap; every other position is
-    zero.  A constant shift modulo the grid leaves ``|E|^2`` unchanged.
-    ``field`` may be ``composite[:field.size]`` itself, since each run only
-    moves down, to positions no unread run occupies.
+    ``field`` where ``_window_runs`` puts them; every other position is
+    zero.  ``field`` may be ``composite[:field.size]`` itself, since each
+    run only moves down, to positions no unread run occupies.
     """
-    n, size = composite.size, field.size
-    stop = min(start + width, n)  # the upper run is [start, stop)
-    low = start + width - stop  # the wrapped run is [0, low)
-    shift = max(stop - size, 0)
-    for a, b, to in ((0, low, 0), (start, stop, start - shift)):
+    runs = _window_runs(composite.size, field.size, start, width)
+    for a, b, to in runs:
         field[to : to + b - a] = composite[a:b]
         field[to : to + b - a] *= port[a:b]
-    field[low : start - shift] = 0
-    field[stop - shift :] = 0
+    (_, low, _), (start, stop, to) = runs
+    field[low:to] = 0
+    field[to + stop - start :] = 0
+
+
+def _lay_noise(
+    field: np.ndarray,
+    draws: np.ndarray,
+    band: np.ndarray,
+    port: np.ndarray,
+    start: int,
+    width: int,
+    n: int,
+) -> None:
+    """Lay the unit noise of ``band`` (``noise_draws``) times ``port`` onto one
+    receiver's zeroed detection grid, as ``_lay_window`` lays the composite.
+
+    The bins of ``band`` inside the window land where ``_window_runs`` puts
+    them, each as its unit draw ``re + 1j * im`` (laid out as in
+    ``_add_osnr_noise``) times the port.
+    """
+    m = draws.size // 2
+    at = 0
+    for lo, hi in band:
+        for a, b, to in _window_runs(n, field.size, start, width):
+            first, last = max(a, lo), min(b, hi)
+            if first < last:
+                src = at + first - lo
+                dst = slice(to + first - a, to + last - a)
+                field.real[dst] = draws[src : src + last - first]
+                field.imag[dst] = draws[m + src : m + src + last - first]
+                field[dst] *= port[first:last]
+        at += hi - lo
 
 
 def end_to_end_fading_profile(

@@ -313,9 +313,19 @@ def _log_ber(values) -> np.ndarray:
     return out
 
 
+def _tested_scenario(cfg: dict) -> ScenarioConfig:
+    """``build_scenario`` for a command that reports on the channel under
+    test (``run`` and ``sweep``): that channel must be lit."""
+    sc = build_scenario(cfg)
+    cut, lit = sc.link.cut_index, list(sc.link.lit_channels)
+    if cut not in lit:
+        raise ConfigError(f"channel_under_test {cut} is not among active_channels {lit}")
+    return sc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    sc = build_scenario(cfg)
+    sc = _tested_scenario(cfg)
     record = run_link(sc, seed=args.seed)
     written = persist_run(record, _out_dir(args))
     for ch, report in sorted(record.reports.items()):
@@ -329,7 +339,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    sc = build_scenario(cfg)
+    sc = _tested_scenario(cfg)
     out = _out_dir(args)
     stem = f"sweep_{args.axis}_{scenario_hash(sc)}_s{args.seed}"
     if not (np.isfinite([args.start, args.stop]).all() and 0 < args.step < np.inf):

@@ -4,8 +4,8 @@ Ties the transmit DSP, the loading engine, the optical channel, and the
 receive DSP into seeded, reproducible experiments: single link runs with the
 train-then-measure two-pass structure (probe, load, count), the
 required-OSNR search (on bisection's grid of OSNRs, steered by the SNR
-profiles of one probe frame sent once and received at each OSNR, with BER
-counted once at the edge it finds),
+profiles of one probe frame sent and detected once and captured at each
+OSNR, with BER counted once at the edge it finds),
 detuning sweeps, and the rate/reach/channel-count table, with CSV/JSON
 persistence and a process pool for independent sweep points.
 
@@ -22,7 +22,10 @@ then an exact whole-bin shift of each channel's spectrum, not a mixer, and
 the optical span from modulator to photodiode runs on one composite spectrum.
 Every frame takes one path: it is sent (``_send``: modulation, DAC,
 ``channel.compose`` and the unit noise draws, none of which depends on the
-OSNR), then received at the link's OSNR (``channel.receive``).  The
+OSNR), then received at the link's OSNR (``channel.receive``).  A search's
+probe frame is the one exception: it is sent and detected once
+(``_shared_probe``, ``channel.detect``) and captured at each OSNR it
+probes (``channel.capture``).  The
 receiver reads the one-period capture circularly, in sync and in
 demodulation alike (a window that runs past the end continues at the
 start, as it does in the looped signal).  Every frame
@@ -57,7 +60,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import LinkConfig, SPEED_OF_LIGHT, compose, noise_draws, receive
+from .channel import (
+    LinkConfig,
+    SPEED_OF_LIGHT,
+    capture,
+    compose,
+    detect,
+    noise_draws,
+    receive,
+)
 from .core import (
     DmtConfig,
     InfeasibleRateError,
@@ -301,36 +312,55 @@ def _transmit_once(
     ``plans``, ``stage`` and ``seed`` are those of ``_send``.  ``timing``
     maps each channel to the ``SyncResult`` its frames are demodulated at;
     a channel missing from it is first synchronized on this capture (the
-    probe pass fills it, payload frames only read it).  ``sent``, a frame
-    ``_send`` built once for calls that differ only in the OSNR, stands in
-    for sending anew, to the same bits; it is shared, so a copy of its
-    composite is received, and a loopback frame's drives are read from a
-    copy of its dict.  Returns ``{channel: (tx_symbols, tx_bits,
-    rx_symbols)}``: the frame's transmitted subcarrier values and payload
-    bits (``_send``'s ``known``) and the received subcarrier values
-    (``demodulate``), training rows first.
+    probe pass fills it, payload frames only read it).  ``sent``, a probe
+    frame built once for calls that differ only in the OSNR
+    (``_shared_probe``), stands in for sending anew, to the same bits: its
+    detection is captured at the link's OSNR (``capture``), in place of
+    ``receive``, and a loopback frame's drives are read from a copy of
+    their dict.  Returns ``{channel: (tx_symbols, tx_bits, rx_symbols)}``:
+    the frame's transmitted subcarrier values and payload bits (``_send``'s
+    ``known``) and the received subcarrier values (``demodulate``),
+    training rows first.
     """
     link, dmt = sc.link, sc.dmt
-    known, signal, cut_power, draws = sent or _send(sc, plans, stage, seed, rx_channels)
-    if sc.loopback:
-        captures = dict(signal)  # the clipped drives
+    if sent is not None:
+        known, signal = sent
+        rx = signal if sc.loopback else capture(link, signal, rx_channels)
     else:
-        if sent is not None:  # receiving consumes the composite
-            signal = signal.copy()
-        rx = receive(link, signal, cut_power, rx_channels, draws)
+        known, signal, cut_power, draws = _send(sc, plans, stage, seed, rx_channels)
+        rx = signal if sc.loopback else receive(link, signal, cut_power, rx_channels, draws)
         del signal, draws  # the frame's grid-sized arrays go before the RX DSP
+    if sc.loopback:
+        captures = dict(rx)  # the clipped drives
+    else:
         captures = {ch: resample(sqrt_linearize(rx.pop(ch)), dmt.dac_rate) for ch in rx_channels}
 
     received = {}
     for ch in rx_channels:
-        capture = captures.pop(ch)
+        waveform = captures.pop(ch)
         if ch not in timing:
             try:
-                timing[ch] = schmidl_cox_sync(capture, dmt)
+                timing[ch] = schmidl_cox_sync(waveform, dmt)
             except SyncNotFoundError as exc:
                 raise _with_context(exc, f"channel {ch}") from exc
-        received[ch] = (*known[ch], demodulate(capture, timing[ch], dmt))
+        received[ch] = (*known[ch], demodulate(waveform, timing[ch], dmt))
     return received
+
+
+def _shared_probe(sc: ScenarioConfig, seed: int):
+    """The probe frame of ``sc`` and ``seed``, for points that differ only in the OSNR.
+
+    It is sent once (``_send``, all lit channels received) and detected
+    once (``detect``), which consumes the composite; the composite and the
+    draws go when this returns.  Returns ``(known, signal)``, the ``sent``
+    of ``_transmit_once`` and ``_probe``: ``signal`` is the detection, or a
+    loopback frame's drives.
+    """
+    lit = sc.link.lit_channels
+    known, signal, cut_power, draws = _send(sc, _probe_plans(sc), 0, seed, lit)
+    if not sc.loopback:
+        signal = detect(sc.link, signal, cut_power, lit, draws)
+    return known, signal
 
 
 def _probe_plans(sc: ScenarioConfig) -> dict:
@@ -344,7 +374,7 @@ def _probe(sc: ScenarioConfig, seed: int, sent=None):
 
     Returns ``(snr, timing)`` keyed by lit channel; every later frame of a
     channel is demodulated at its ``timing``.  ``sent`` is a probe frame
-    sent once for several OSNRs (see ``_transmit_once``).
+    sent and detected once for several OSNRs (``_shared_probe``).
     """
     dmt = sc.dmt
     lit = sc.link.lit_channels
@@ -401,6 +431,13 @@ def _train(sc: ScenarioConfig, seed: int, sent):
     return _load(sc, snr), timing
 
 
+def _check_lit(link: LinkConfig, channels) -> None:
+    """Raise ``ValueError`` for a channel to report on that ``link`` does not light."""
+    for ch in channels:
+        if ch not in link.lit_channels:
+            raise ValueError(f"channel {ch} is not lit in this scenario")
+
+
 def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     """Execute one scenario: probe, load, then measure until counting depth.
 
@@ -435,9 +472,7 @@ def run_link(sc: ScenarioConfig, seed: int, channels=None) -> RunRecord:
     t0 = time.perf_counter()
     link = sc.link
     eval_channels = [link.cut_index] if channels is None else sorted(set(channels))
-    for ch in eval_channels:
-        if ch not in link.lit_channels:
-            raise ValueError(f"channel {ch} is not lit in this scenario")
+    _check_lit(link, eval_channels)
 
     snr, timing = _probe(sc, seed)
     plans = _load(sc, snr)
@@ -644,9 +679,11 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
     share payload, training symbols and noise draws, and differ only in the
     noise scale sigma(x) the OSNR sets.  The search is steered by the probe
     pass alone: a point passes when its rate loads (timing found, Chow
-    loading feasible).  The probe frame is sent once (``_send``); each
-    point then only receives a copy of its composite plus sigma(x) times
-    its unit noise draws, and runs the RX DSP and its SNR estimate.
+    loading feasible).  The probe frame is sent and detected once
+    (``_shared_probe``): its detection is kept as three terms of the noise
+    scale, and each point only captures it at its OSNR (``capture``,
+    ``A + 2 s B + s^2 C`` on the kept bins) and runs the RX DSP and its SNR
+    estimate.
 
     The points probed are those a bisection to ``tol_db`` can visit,
     ``10 + k * 40 / 2**K`` dB for its K halvings, each predicted from the
@@ -669,8 +706,8 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
     ValueError
         If ``tol_db`` is not a positive finite number, or is finer than
         ``40 / 2**40`` dB (about 3.6e-11 dB; 40 halvings of the bracket,
-        past which grid points are not distinct floats), checked before any
-        frame runs.
+        past which grid points are not distinct floats), or if the channel
+        under test is not lit, checked before any frame runs.
     InfeasibleOsnrError
         If the link cannot operate at the top of the bracket, or its
         counted BER misses the target.
@@ -679,6 +716,7 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
     bottom, top = _OSNR_BRACKET_DB
     target_ber = sc.gap.target_ber
     cut = sc.link.cut_index
+    _check_lit(sc.link, [cut])
     probed, ber = {}, {}
 
     def probe(osnr_db: float, sent=None):
@@ -698,8 +736,7 @@ def required_osnr(sc: ScenarioConfig, tol_db: float = 0.25, seed: int = 0) -> fl
                 ber[osnr_db] = _count(*point, _load(sc, snr), timing, [cut])[cut].ber
         return ber[osnr_db] < target_ber
 
-    top_sc, run_seed = _osnr_point(sc, top, seed)
-    sent = _send(top_sc, _probe_plans(sc), 0, run_seed, sc.link.lit_channels)
+    sent = _shared_probe(*_osnr_point(sc, top, seed))
     if not loads(top, sent):
         raise InfeasibleOsnrError(f"the link cannot operate at {top:.1f} dB OSNR")
     lo, hi = _loading_edge(sc, halvings, lambda k: probe(_grid_osnr(k, halvings), sent))

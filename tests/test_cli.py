@@ -655,6 +655,22 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("axis", ["osnr", "detuning", "reach"])
+    def test_dark_channel_under_test_exits_2(self, tmp_path, capsys, axis):
+        """A sweep on a channel under test that is not lit is a config error
+        naming both keys, before any frame runs (it ended in a traceback, or
+        for reach in a sync error after two frames)."""
+        cfg = _write_config(tmp_path, active_channels=[2], rate_gbps=56, **self.OPTICAL)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", cfg, "--axis", axis, "--start", "10", "--stop", "10",
+                "--step", "1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "channel_under_test" in err and "active_channels" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSeedAndWorkerCounts:
     """A negative seed or a pool of fewer than one worker is a config error
     naming its flag, before any output is written."""
@@ -693,6 +709,8 @@ class TestFilterAndReceiverSettings:
             ("rx_sample_rate_gsps", 0, "rx_sample_rate must"),
             ("rx_bandwidth_ghz", -5, "rx_bandwidth must"),
             ("quantize_bits", 0, "quantize_bits"),
+            # the default channel under test, 1, is dark
+            ("active_channels", [2], "channel_under_test 1 is not among active_channels [2]"),
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, key, value, named):

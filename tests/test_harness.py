@@ -37,7 +37,7 @@ from dmtlink.harness import (
 from dmtlink.loading import GapConfig, SnrProfile, _bit_capacity, gap_from_ber
 from dmtlink.rxdsp import SyncNotFoundError, demodulate, schmidl_cox_sync
 from search_reference import required_osnr_full_count
-from span_frame import span_captures
+from span_frame import shared_captures, span_captures
 
 
 def _frame_samples(cfg):
@@ -497,6 +497,20 @@ class TestProbeSteeredSearch:
             required_osnr(_fast_optical(), tol_db=tol_db)
         assert harness_mod._halvings(40 / 2**40) == 40
 
+    def test_dark_channel_under_test_is_refused(self, monkeypatch):
+        """A channel under test that is not lit is refused before any frame
+        runs, as ``run_link`` refuses it (the search used to probe the lit
+        channels and fail at the count, on a sync error for the dark one)."""
+
+        def no_frame(*args):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness_mod, "_send", no_frame)
+        sc = _search_scenario(19e9)
+        sc = replace(sc, link=replace(sc.link, active_channels=(2,)))
+        with pytest.raises(ValueError, match="channel 1 is not lit"):
+            required_osnr(sc, tol_db=10.0)
+
 
 class TestSearchPolicy:
     """The search's decisions on a stand-in link: a point loads from
@@ -648,12 +662,12 @@ class TestSharedProbe:
 
     def test_each_point_captures_what_the_span_gives(self, monkeypatch):
         """Every point's probe captures equal a frame sent anew (``compose``,
-        ``noise_draws``, ``receive``) on the same drives, OSNR and noise
-        seed, bit for bit.  Frames of the count, which starts after the
-        probes, are not recorded."""
+        ``noise_draws``) and taken through the shared-frame path (``detect``,
+        ``capture``) on the same drives, OSNR and noise seed, bit for bit.
+        Frames of the count, which starts after the probes, are not recorded."""
         composed, seeds, received, counting = [], [], [], []
         compose, draw = harness_mod.compose, harness_mod.noise_draws
-        receive, count = harness_mod.receive, harness_mod._count
+        capture, count = harness_mod.capture, harness_mod._count
 
         def recorded_compose(link, drives, *args):
             if not counting:
@@ -665,8 +679,8 @@ class TestSharedProbe:
                 seeds.append(noise_seed)
             return draw(link, n, rx_channels, noise_seed)
 
-        def recorded_receive(link, composite, cut_power, rx_channels, draws):
-            captures = receive(link, composite, cut_power, rx_channels, draws)
+        def recorded_capture(link, detected, rx_channels):
+            captures = capture(link, detected, rx_channels)
             if not counting:
                 received.append((link, list(rx_channels), seeds[-1], dict(captures)))
             return captures
@@ -677,7 +691,7 @@ class TestSharedProbe:
 
         monkeypatch.setattr(harness_mod, "compose", recorded_compose)
         monkeypatch.setattr(harness_mod, "noise_draws", recorded_draws)
-        monkeypatch.setattr(harness_mod, "receive", recorded_receive)
+        monkeypatch.setattr(harness_mod, "capture", recorded_capture)
         monkeypatch.setattr(harness_mod, "_count", recorded_count)
         sc = self._scenario()
         required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=1)
@@ -685,7 +699,7 @@ class TestSharedProbe:
         assert len(received) == SEARCH_PROBES
         assert len({link.osnr_db for link, *_ in received}) == len(received)
         for link, rx, noise_seed, captures in received:
-            want = span_captures(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)
+            want = shared_captures(link, composed[0], rx, noise_seed, sc.dmt.dac_rate)
             for ch in rx:
                 assert np.array_equal(captures[ch].samples, want[ch].samples), link.osnr_db
 
@@ -728,6 +742,25 @@ class TestSharedProbe:
         monkeypatch.setattr(harness_mod, "_count", recorded_count)
         required_osnr(self._scenario(), tol_db=SEARCH_TOL_DB, seed=3)
         assert alive_at_count == [[False]]
+
+    def test_detection_released_before_the_count(self, monkeypatch):
+        """No payload frame runs while the probe's detected terms are held."""
+        kept, alive_at_count = [], []
+        detect, count = harness_mod.detect, harness_mod._count
+
+        def recorded_detect(*args):
+            detected = detect(*args)
+            kept.extend(weakref.ref(term) for terms in detected[2].values() for term in terms)
+            return detected
+
+        def recorded_count(*args):
+            alive_at_count.append([ref() is not None for ref in kept])
+            return count(*args)
+
+        monkeypatch.setattr(harness_mod, "detect", recorded_detect)
+        monkeypatch.setattr(harness_mod, "_count", recorded_count)
+        required_osnr(self._scenario(), tol_db=SEARCH_TOL_DB, seed=3)
+        assert alive_at_count == [[False] * 3]
 
 
 class TestOnePathPerFrame:
@@ -803,8 +836,7 @@ def _verdict_map(point):
     sc = _search_scenario(det)
     value = required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=seed)
     point, run_seed = harness_mod._osnr_point(sc, value, seed)
-    plans = harness_mod._probe_plans(sc)
-    sent = harness_mod._send(point, plans, 0, run_seed, sc.link.lit_channels)
+    sent = harness_mod._shared_probe(point, run_seed)
     verdicts = [
         harness_mod._operable(harness_mod._train, *harness_mod._osnr_point(sc, x, seed), sent)
         is not None
