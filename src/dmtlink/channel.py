@@ -2,9 +2,9 @@
 
 A frame crosses the span in one frequency-domain pass from modulator to
 receiver, in steps: ``compose`` sums the launched comb after dispersion,
-``noise_draws`` draws the unit noise over the bins a receiver passes, and
-``receive`` scales that noise to the OSNR, adds it as a spectrum and
-detects each receiver on a grid that holds only its own passband.  A frame
+and ``receive`` draws the unit noise from its seed over the bins a
+receiver passes, scales it to the OSNR, adds it as a spectrum and detects
+each receiver on a grid that holds only its own passband.  A frame
 received at several OSNRs is instead detected once (``detect``: the
 detection is a quadratic in the noise scale, kept as its three terms) and
 captured at each OSNR (``capture``).  Only ``receive`` and ``capture``
@@ -14,13 +14,16 @@ responses) with one tone at a time.
 
 What a frame holds: its composite, a full two-sided spectrum of the grid
 (16.5 MB at 1,031,680 bins), is the one grid-sized array that lives from
-``compose`` to ``receive``.  Beside it, ``compose`` holds one channel at a
-time, in one buffer of the composite's size where that channel's drive,
-field and launched spectrum are built in turn; the launch port is
-evaluated in blocks of bins, so no grid-sized frequency or port array
-exists.  ``receive`` adds the noise draws and one receiver's detection
-grid at a time.  ``detect`` keeps, in place of the composite, three
-spectra of the kept bins per receiver.
+``compose`` to ``receive``.  Beside it, ``compose`` holds one buffer of the
+composite's size, in which each channel's drive, field and launched
+spectrum are built in turn; the launch port is evaluated in blocks of
+bins, so no grid-sized frequency or port array exists.  The noise is drawn
+in blocks straight into the composite (``receive``) or into each
+receiver's noise field (``detect``), so no array of draws exists.
+``receive`` adds one receiver's detection grid at a time; ``detect``
+keeps, in place of the composite, three spectra of the kept bins per
+receiver.  The operators that every frame shares hold each receive port
+only over the window of bins it passes.
 
 Sign conventions, documented once here:
 
@@ -56,7 +59,6 @@ __all__ = [
     "compose",
     "detect",
     "end_to_end_fading_profile",
-    "noise_draws",
     "receive",
 ]
 
@@ -301,7 +303,8 @@ def _mzm_transfer(samples: np.ndarray, drive_swing: float, bias_margin: float) -
 
 
 _PORT_BLOCK = 65_536
-"""Bins per block of a launch port: 0.5 MB per block array on any grid."""
+"""Bins per block of a launch port or of the noise draws: 0.5 MB per block
+array on any grid."""
 
 
 def _grid_frequencies(n: int, sample_rate: float) -> np.ndarray:
@@ -326,34 +329,48 @@ def _noise_scale(n: int, sample_rate: float, osnr_db: float, power: float) -> fl
     return np.sqrt(n) * sigma
 
 
+def _unit_noise(noise_seed: int, band: np.ndarray):
+    """The unit draws of the noise over ``band``, in blocks, in stream order.
+
+    One generator at ``noise_seed`` gives the real parts of the ``m`` bins
+    of ``band`` (``[start, stop)`` rows in ascending order), then their
+    imaginary parts: the values of one ``standard_normal(2 * m)``, drawn
+    ``_PORT_BLOCK`` at a time.  Yields ``(part, start, stop, draws)``:
+    ``draws`` are the ``part`` (``"real"`` or ``"imag"``) of bins
+    ``[start, stop)``, in one buffer that the next block overwrites.
+    """
+    rng = np.random.default_rng(noise_seed)
+    buffer = np.empty(_PORT_BLOCK)
+    for part in ("real", "imag"):
+        for lo, hi in band:
+            for start in range(lo, hi, _PORT_BLOCK):
+                stop = min(start + _PORT_BLOCK, hi)
+                draws = rng.standard_normal(stop - start, out=buffer[: stop - start])
+                yield part, start, stop, draws
+
+
 def _add_osnr_noise(
     spectrum: np.ndarray,
     band: np.ndarray,
     sample_rate: float,
     osnr_db: float,
     power: float,
-    draws: np.ndarray,
+    noise_seed: int,
 ) -> None:
     """Add, in place, the spectrum of white noise putting a signal of ``power`` at ``osnr_db``.
 
     Circular noise ``sigma * (re + 1j * im)`` per sample has, as its DFT,
     circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
     so the spectrum is drawn directly, with no transform.  It lives only on
-    ``band``, ``[start, stop)`` bin ranges in ascending order, and
-    ``draws`` (``noise_draws``) holds its ``2 * m`` unit draws for their
-    ``m`` bins, the first ``m`` the real parts and the next ``m`` the
-    imaginary parts.  Each bin gains its unit draw times
-    ``sqrt(n) * sigma`` (``_noise_scale``), the only factor that depends on
-    the OSNR and the power; ``draws`` is read, not changed.
+    ``band``, and its unit draws are ``_unit_noise``'s at ``noise_seed``,
+    drawn a block at a time where they land.  Each bin gains its unit draw
+    times ``sqrt(n) * sigma`` (``_noise_scale``), the only factor that
+    depends on the OSNR and the power.
     """
     scale = _noise_scale(spectrum.size, sample_rate, osnr_db, power)
-    m = draws.size // 2
-    at = 0
-    for start, stop in band:
-        width = stop - start
-        spectrum.real[start:stop] += draws[at : at + width] * scale
-        spectrum.imag[start:stop] += draws[m + at : m + at + width] * scale
-        at += width
+    for part, start, stop, draws in _unit_noise(noise_seed, band):
+        draws *= scale
+        getattr(spectrum, part)[start:stop] += draws
 
 
 def _mean_power(spectrum: np.ndarray) -> float:
@@ -437,7 +454,11 @@ def _smooth_length(m: int) -> int:
 
 
 def _launch(
-    link: LinkConfig, channel: int, waveform: RealWaveform, duration: float
+    link: LinkConfig,
+    channel: int,
+    waveform: RealWaveform,
+    duration: float,
+    buffer: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """One channel's modulated spectrum after its interleaver port.
 
@@ -451,11 +472,14 @@ def _launch(
     its bin indices and the laser's position, so no grid-sized frequency or
     port array is built.  Returns the full (two-sided) spectrum, centered on
     the channel's laser, and the laser's position on the composite grid in
-    whole bins.
+    whole bins.  ``buffer``, ``n + 1`` complex bins for an ``n``-bin grid,
+    is that buffer, so the channels of a frame can be launched in turn in
+    one; by default a new one is taken.
     """
     rate = link.grid_rate
     n = dac_length(waveform, rate)
-    buffer = np.empty(n + 1, dtype=np.complex128)  # one spare bin: 2n + 2 floats
+    if buffer is None:
+        buffer = np.empty(n + 1, dtype=np.complex128)  # one spare bin: 2n + 2 floats
     spectrum, half = buffer[:n], buffer[: n // 2 + 1]
     field = buffer.view(np.float64)[n + 2 :]  # clear of the rfft's n + 2 floats
     dac_samples(waveform, rate, out=field, work=half)
@@ -496,29 +520,80 @@ def _mux_add(
     composite[:split] += spectrum[composite.size - split :]
 
 
+@functools.lru_cache(maxsize=1)
+def _dispersion_factor(
+    n: int, rate: float, length_km: float, dispersion_ps_nm_km: float, wavelength_nm: float
+) -> np.ndarray | None:
+    """The read-only dispersion factor of the most recent fiber on an ``n``-bin
+    grid, over the non-negative frequencies only (the phase is even in f);
+    ``None`` back to back."""
+    if length_km <= 0:
+        return None
+    phase = _dispersion_phase(
+        np.fft.rfftfreq(n, d=1.0 / rate), length_km, dispersion_ps_nm_km, wavelength_nm
+    )
+    factor = np.exp(1j * phase)
+    factor.flags.writeable = False
+    return factor
+
+
+def _receive_port(n: int, rate: float, interleaver: FilterSpec, demux: FilterSpec) -> tuple:
+    """One receive port, the product of its two filters, held over its window.
+
+    Returns ``(start, width, port, band)``: ``band`` is the bins the port
+    passes above float64's epsilon, as ``[start, stop)`` rows in ascending
+    order; ``(start, width)`` is the shortest circular run of bins holding
+    them, the receive window; and ``port`` is the product on that window,
+    ``port[i]`` at bin ``(start + i) % n``.  The product is built once on
+    the full grid and dropped once the window is cut from it.
+    """
+    freq = _grid_frequencies(n, rate)
+    full = interleaver.amplitude_response(freq)
+    full *= demux.amplitude_response(freq)
+    del freq
+    passed = np.zeros(n + 2, dtype=bool)  # a stop bin either side
+    passed[1:-1] = full > np.finfo(np.float64).eps
+    band = np.flatnonzero(np.diff(passed)).reshape(-1, 2)
+    starts, stops = band[:, 0], band[:, 1]
+    gaps = np.append(starts[1:], starts[0] + n) - stops  # after each run
+    widest = int(np.argmax(gaps))
+    start, width = int(starts[(widest + 1) % len(band)]), n - int(gaps[widest])
+    stop = min(start + width, n)
+    port = np.concatenate((full[start:stop], full[: start + width - stop]))
+    for array in (port, band):
+        array.flags.writeable = False
+    return start, width, port, band
+
+
+@functools.lru_cache(maxsize=1)
+def _receive_ports(n: int, rate: float, filters: tuple) -> tuple[dict, dict]:
+    """Channel -> ``_receive_port`` and receive set -> noise band of the most
+    recent comb, filled as receivers ask; ``filters`` holds each slot's
+    (interleaver, demux) pair."""
+    return {}, {}
+
+
 class _SpanOperators:
     """The frame-constant operators of one link on an ``n``-bin grid.
 
     They depend on neither the OSNR nor the frame's content, so
     ``_span_operators`` keeps them across the frames and the OSNR points of
-    a link.  Every array is read-only: it is shared by every frame.
+    a link.  Each is built once for what it depends on, so links that
+    differ in anything else share it: the dispersion factor
+    (``_dispersion_factor``) for the grid and the fiber, the receive ports
+    and noise bands (``_receive_ports``) for the grid and the comb's
+    filters.  Every array
+    is read-only: it is shared by every frame.
     """
 
     def __init__(self, link: LinkConfig, n: int):
         self.link, self.n = link, n
-        self.dispersion = None
-        if link.total_length_km > 0:
-            # the phase is even in f, so the non-negative half holds all of it
-            phase = _dispersion_phase(
-                np.fft.rfftfreq(n, d=1.0 / link.grid_rate),
-                link.total_length_km,
-                link.dispersion_ps_nm_km,
-                link.center_wavelength_nm,
-            )
-            self.dispersion = np.exp(1j * phase)
-            self.dispersion.flags.writeable = False
-        self._ports = {}
-        self._bands = {}
+        rate = link.grid_rate
+        self.dispersion = _dispersion_factor(
+            n, rate, link.total_length_km, link.dispersion_ps_nm_km, link.center_wavelength_nm
+        )
+        filters = tuple((link.interleaver(ch), link.demux(ch)) for ch in range(link.n_channels))
+        self._ports, self._bands = _receive_ports(n, rate, filters)
 
     def disperse(self, spectrum: np.ndarray) -> None:
         """Multiply a full spectrum by the dispersion factor, in place."""
@@ -528,16 +603,20 @@ class _SpanOperators:
         spectrum[:h] *= self.dispersion
         spectrum[h:] *= self.dispersion[(self.n - 1) // 2 : 0 : -1]
 
-    def receive_port(self, channel: int) -> np.ndarray:
-        """The product of one channel's interleaver and demultiplexer ports."""
+    def _port(self, channel: int) -> tuple:
         port = self._ports.get(channel)
         if port is None:
-            freq = _grid_frequencies(self.n, self.link.grid_rate)
-            port = self.link.interleaver(channel).amplitude_response(freq)
-            port *= self.link.demux(channel).amplitude_response(freq)
-            port.flags.writeable = False
+            link = self.link
+            port = _receive_port(
+                self.n, link.grid_rate, link.interleaver(channel), link.demux(channel)
+            )
             self._ports[channel] = port
         return port
+
+    def receive_port(self, channel: int) -> np.ndarray:
+        """The product of one channel's interleaver and demultiplexer ports
+        over its ``receive_window``: element ``i`` is bin ``(start + i) % n``."""
+        return self._port(channel)[2]
 
     def noise_band(self, channels) -> np.ndarray:
         """The bins some channel's receive port passes above float64's epsilon.
@@ -550,7 +629,8 @@ class _SpanOperators:
         if band is None:
             passed = np.zeros(self.n + 2, dtype=bool)  # a stop bin either side
             for ch in key:
-                passed[1:-1] |= self.receive_port(ch) > np.finfo(np.float64).eps
+                for lo, hi in self._port(ch)[3]:
+                    passed[lo + 1 : hi + 1] = True
             band = np.flatnonzero(np.diff(passed)).reshape(-1, 2)
             band.flags.writeable = False
             self._bands[key] = band
@@ -559,11 +639,7 @@ class _SpanOperators:
     def receive_window(self, channel: int) -> tuple[int, int]:
         """``(start, width)``: the shortest circular run of bins holding the
         bins one channel's receive port passes (its ``noise_band``)."""
-        band = self.noise_band([channel])
-        starts, stops = band[:, 0], band[:, 1]
-        gaps = np.append(starts[1:], starts[0] + self.n) - stops  # after each run
-        widest = int(np.argmax(gaps))
-        return int(starts[(widest + 1) % len(band)]), self.n - int(gaps[widest])
+        return self._port(channel)[:2]
 
 
 @functools.lru_cache(maxsize=1)
@@ -584,12 +660,12 @@ def compose(
     interleaver port and moved onto its laser by a whole-bin shift; the sum
     takes the dispersion phase.  The dispersion
     factor, the receive ports and each receive set's noise band are built
-    the first time a link needs them and kept, read-only, for the most
-    recent link.
+    the first time a link needs them and kept, read-only, each keyed by
+    what it depends on (``_SpanOperators``).
 
-    What is alive at once: the composite and the one launch buffer of the
-    channel being launched (``_launch``), each the composite's size; never
-    two channels' arrays, whatever the number of lit channels.
+    What is alive at once: the composite and one launch buffer
+    (``_launch``), each the composite's size, in which every channel is
+    launched in turn, whatever the number of lit channels.
 
     Parameters
     ----------
@@ -623,28 +699,15 @@ def compose(
     for ch in rx_channels:  # a cold build runs before the frame's grid-sized arrays exist
         operators.receive_window(ch)
     composite = np.zeros(n, dtype=np.complex128)
+    buffer = np.empty(n + 1, dtype=np.complex128)  # every channel launches in it
     cut_power = None
     for ch, waveform in waveforms.items():
-        spectrum, shift = _launch(link, ch, waveform, duration)
+        spectrum, shift = _launch(link, ch, waveform, duration, buffer)
         if ch == link.cut_index:
             cut_power = _mean_power(spectrum)
         _mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
-        del spectrum  # one launched spectrum alive at a time
     operators.disperse(composite)
     return composite, cut_power
-
-
-def noise_draws(link: LinkConfig, n: int, rx_channels, noise_seed: int) -> np.ndarray:
-    """The unit draws of the noise that ``receive`` adds for ``rx_channels``.
-
-    One ``standard_normal(2 * m)`` at ``noise_seed`` for the ``m`` bins of
-    the noise band of ``rx_channels`` on the ``n``-bin grid.  They do not
-    depend on the OSNR, so one draw serves a composite received at several
-    OSNRs.
-    """
-    band = _span_operators(replace(link, osnr_db=np.inf), n).noise_band(rx_channels)
-    m = int(np.sum(band[:, 1] - band[:, 0]))
-    return np.random.default_rng(noise_seed).standard_normal(2 * m)
 
 
 def receive(
@@ -652,15 +715,16 @@ def receive(
     composite: np.ndarray,
     cut_power: float | None,
     rx_channels,
-    draws: np.ndarray | None,
+    noise_seed: int | None,
 ) -> dict:
     """Add the OSNR noise to ``compose``'s composite and capture each receiver.
 
-    The noise is ``draws`` (``noise_draws`` for ``rx_channels``), scaled to
-    the link's OSNR and added as a spectrum over the bins some receiver
-    passes above float64's epsilon (``_add_osnr_noise``).  It refers to
-    ``cut_power``, or to the composite's power when that is ``None``.  At
-    an infinite OSNR nothing is added and ``draws`` may be ``None``.
+    The noise is drawn at ``noise_seed``, scaled to the link's OSNR and
+    added as a spectrum over the bins some receiver of ``rx_channels``
+    passes above float64's epsilon (``_add_osnr_noise``), a block of draws
+    at a time.  It refers to ``cut_power``, or to the composite's power
+    when that is ``None``.  At an infinite OSNR nothing is added and
+    ``noise_seed`` may be ``None``.
 
     Each receiver takes the circular run of ``W`` bins its ports pass above
     that epsilon, applies both ports in one product and lays the run onto
@@ -684,11 +748,13 @@ def receive(
     rx_channels = list(rx_channels)
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
     if np.isfinite(link.osnr_db):
-        if draws is None:
-            raise ValueError(f"a finite OSNR ({link.osnr_db} dB) needs the frame's noise draws")
+        if noise_seed is None:
+            raise ValueError(
+                f"a finite OSNR ({link.osnr_db} dB) needs the seed of the frame's noise draws"
+            )
         power = _mean_power(composite) if cut_power is None else cut_power
         band = operators.noise_band(rx_channels)
-        _add_osnr_noise(composite, band, rate, link.osnr_db, power, draws)
+        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed)
 
     kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
     captures = {}
@@ -703,7 +769,7 @@ def receive(
         detected = np.abs(np.fft.ifft(field, out=field))
         del field
         # square-law detection, |E|^2 with unit responsivity
-        spectrum = np.fft.rfft(np.square(detected, out=detected))[:kept]
+        spectrum = np.fft.rfft(np.square(detected, out=detected))[:kept].copy()
         del detected
         spectrum *= size / n  # onto the scale of the n-sample detection
         captures[ch] = _capture(
@@ -718,14 +784,15 @@ def detect(
     composite: np.ndarray,
     cut_power: float | None,
     rx_channels,
-    draws: np.ndarray | None,
+    noise_seed: int | None,
 ) -> tuple:
     """Detect ``compose``'s composite once, for captures at any OSNR (``capture``).
 
     Each receiver's field is ``E = E_s + s * E_w``: ``E_s`` is the
     composite's window through its ports, laid as ``receive`` lays it;
-    ``E_w`` is the unit draws (``noise_draws`` for ``rx_channels``) laid
-    the same way, straight from the noise band; and ``s`` is the noise
+    ``E_w`` is the unit noise ``receive`` draws at ``noise_seed`` for
+    ``rx_channels``, drawn straight onto the grid and laid the same way
+    (``_lay_noise``); and ``s`` is the noise
     scale an OSNR sets (``_noise_scale``).  The detected signal is then
     ``|E|^2 = A + 2 s B + s^2 C``, with ``A = |E_s|^2``,
     ``B = Re(conj(E_s) E_w)`` and ``C = |E_w|^2``, and what follows up to
@@ -733,19 +800,20 @@ def detect(
     its kept bins are scaled to the frame and passed through the front end
     (``_front_end``).
 
-    Works in place, as ``receive`` does: each receiver lays and transforms
-    ``E_w`` first, the last one detects ``E_s`` in the composite's buffer,
-    and each field goes once its terms are formed.  Returns
-    ``(n, power, terms)``: the frame's bins; the power the OSNR refers to,
-    ``cut_power`` or else the composite's (``None`` without draws); and
-    receive channel -> read-only ``(A, B, C)`` spectra of the kept bins,
-    ``B`` and ``C`` ``None`` without draws.
+    Works in place, as ``receive`` does: each receiver draws and transforms
+    ``E_w`` first, in one pass of the noise stream, the last one detects
+    ``E_s`` in the composite's buffer, and each field goes once its terms
+    are formed.  Returns ``(n, power, terms)``: the frame's bins; the power
+    the OSNR refers to, ``cut_power`` or else the composite's (``None``
+    without a noise seed); and receive channel -> read-only ``(A, B, C)``
+    spectra of the kept bins, ``B`` and ``C`` ``None`` without a noise
+    seed.
     """
     rate = link.grid_rate
     n = composite.size
     rx_channels = list(rx_channels)
     operators = _span_operators(replace(link, osnr_db=np.inf), n)
-    noisy = draws is not None
+    noisy = noise_seed is not None
     power = band = None
     if noisy:
         power = _mean_power(composite) if cut_power is None else cut_power
@@ -767,7 +835,7 @@ def detect(
         b = c = None
         if noisy:
             noise = np.zeros(size, dtype=np.complex128)
-            _lay_noise(noise, draws, band, port, start, width, n)
+            _lay_noise(noise, noise_seed, band, port, start, width, n)
             np.fft.ifft(noise, out=noise)
         last = i + 1 == len(rx_channels)
         field = composite[:size] if last else np.empty(size, dtype=np.complex128)
@@ -803,7 +871,9 @@ def capture(link: LinkConfig, detected: tuple, rx_channels) -> dict:
     scale = 0.0
     if np.isfinite(link.osnr_db):
         if power is None:
-            raise ValueError(f"a finite OSNR ({link.osnr_db} dB) needs the frame's noise draws")
+            raise ValueError(
+                f"a finite OSNR ({link.osnr_db} dB) needs the seed of the frame's noise draws"
+            )
         scale = _noise_scale(n, rate, link.osnr_db, power)
     n_out = _spectral.output_length(n, rate, link.rx_sample_rate)
     captures = {}
@@ -844,13 +914,16 @@ def _lay_window(
 
     Bins ``[start, start + width)``, modulo the composite's ``n``, land on
     ``field`` where ``_window_runs`` puts them; every other position is
-    zero.  ``field`` may be ``composite[:field.size]`` itself, since each
-    run only moves down, to positions no unread run occupies.
+    zero.  ``port`` is held over the window (``_SpanOperators.receive_port``).
+    ``field`` may be ``composite[:field.size]`` itself, since each run only
+    moves down, to positions no unread run occupies.
     """
-    runs = _window_runs(composite.size, field.size, start, width)
+    n = composite.size
+    runs = _window_runs(n, field.size, start, width)
     for a, b, to in runs:
+        at = (a - start) % n
         field[to : to + b - a] = composite[a:b]
-        field[to : to + b - a] *= port[a:b]
+        field[to : to + b - a] *= port[at : at + b - a]
     (_, low, _), (start, stop, to) = runs
     field[low:to] = 0
     field[to + stop - start :] = 0
@@ -858,32 +931,31 @@ def _lay_window(
 
 def _lay_noise(
     field: np.ndarray,
-    draws: np.ndarray,
+    noise_seed: int,
     band: np.ndarray,
     port: np.ndarray,
     start: int,
     width: int,
     n: int,
 ) -> None:
-    """Lay the unit noise of ``band`` (``noise_draws``) times ``port`` onto one
-    receiver's zeroed detection grid, as ``_lay_window`` lays the composite.
+    """Draw the unit noise of ``band`` times ``port`` onto one receiver's
+    zeroed detection grid, as ``_lay_window`` lays the composite.
 
-    The bins of ``band`` inside the window land where ``_window_runs`` puts
-    them, each as its unit draw ``re + 1j * im`` (laid out as in
-    ``_add_osnr_noise``) times the port.
+    One pass of ``_unit_noise`` at ``noise_seed``, the stream that
+    ``_add_osnr_noise`` draws, puts each bin of ``band`` inside the window
+    where ``_window_runs`` puts it, as its unit draw ``re + 1j * im``; the
+    window is then multiplied by the port.
     """
-    m = draws.size // 2
-    at = 0
-    for lo, hi in band:
-        for a, b, to in _window_runs(n, field.size, start, width):
+    runs = _window_runs(n, field.size, start, width)
+    for part, lo, hi, draws in _unit_noise(noise_seed, band):
+        out = getattr(field, part)
+        for a, b, to in runs:
             first, last = max(a, lo), min(b, hi)
             if first < last:
-                src = at + first - lo
-                dst = slice(to + first - a, to + last - a)
-                field.real[dst] = draws[src : src + last - first]
-                field.imag[dst] = draws[m + src : m + src + last - first]
-                field[dst] *= port[first:last]
-        at += hi - lo
+                out[to + first - a : to + last - a] = draws[first - lo : last - lo]
+    for a, b, to in runs:
+        at = (a - start) % n
+        field[to : to + b - a] *= port[at : at + b - a]
 
 
 def end_to_end_fading_profile(

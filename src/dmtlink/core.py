@@ -443,7 +443,8 @@ def _slicer(orders: np.ndarray, scale: np.ndarray | None = None):
         if near is not None:
             which, points = np.broadcast_to(orders, near.shape)[near], unscaled(z)[near]
             fixed = np.empty(points.size, dtype=np.intp)
-            for b in np.unique(which):
+            # the orders present, ascending, as np.unique gives them without importing numpy.ma
+            for b in np.flatnonzero(np.bincount(which)):
                 sel = which == b
                 fixed[sel] = _TABLE_START[b] + _search_nearest(points[sel], int(b))
             found[near] = fixed

@@ -21,8 +21,9 @@ spectral resolution (a sub-MHz adjustment on a 50 GHz grid).  The WDM mux is
 then an exact whole-bin shift of each channel's spectrum, not a mixer, and
 the optical span from modulator to photodiode runs on one composite spectrum.
 Every frame takes one path: it is sent (``_send``: modulation, DAC,
-``channel.compose`` and the unit noise draws, none of which depends on the
-OSNR), then received at the link's OSNR (``channel.receive``).  A search's
+``channel.compose`` and the seed of the unit noise, none of which depends on
+the OSNR), then received at the link's OSNR (``channel.receive``, which
+draws the noise).  A search's
 probe frame is the one exception: it is sent and detected once
 (``_shared_probe``, ``channel.detect``) and captured at each OSNR it
 probes (``channel.capture``).  The
@@ -66,7 +67,6 @@ from .channel import (
     capture,
     compose,
     detect,
-    noise_draws,
     receive,
 )
 from .core import (
@@ -274,12 +274,12 @@ def _send(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
     each payload frame.  Of each modulated frame only what the receiver
     reads is kept: ``known[ch]`` is ``(frequency_symbols, tx_bits)``, the
     channel's transmitted subcarrier values (training rows first) and its
-    payload bits.  Returns ``(known, signal, cut_power, draws)``.  A
+    payload bits.  Returns ``(known, signal, cut_power, noise_seed)``.  A
     loopback frame's signal is its clipped drives, by channel, with no
     launch power or noise (``None``).  Otherwise the drives go through the
-    DAC and ``compose``, the signal is the composite, and the unit noise of
-    ``rx_channels`` is drawn (``noise_draws``); an infinite OSNR draws no
-    noise (``None``).
+    DAC and ``compose``, the signal is the composite, and ``noise_seed`` is
+    the seed the receivers draw the frame's unit noise at; an infinite
+    OSNR draws no noise (``None``).
     """
     link, dmt = sc.link, sc.dmt
     known, drives = {}, {}
@@ -298,10 +298,8 @@ def _send(sc: ScenarioConfig, plans: dict, stage: int, seed: int, rx_channels):
     # headroom for its weak harmonics, but the occupied band is the DAC's).
     composite, cut_power = compose(link, drives, rx_channels, dmt.dac_rate)
     del drives
-    draws = None
-    if np.isfinite(link.osnr_db):
-        draws = noise_draws(link, composite.size, rx_channels, _seed_int(seed, stage, 303))
-    return known, composite, cut_power, draws
+    noise_seed = _seed_int(seed, stage, 303) if np.isfinite(link.osnr_db) else None
+    return known, composite, cut_power, noise_seed
 
 
 def _transmit_once(
@@ -327,9 +325,9 @@ def _transmit_once(
         known, signal = sent
         rx = signal if sc.loopback else capture(link, signal, rx_channels)
     else:
-        known, signal, cut_power, draws = _send(sc, plans, stage, seed, rx_channels)
-        rx = signal if sc.loopback else receive(link, signal, cut_power, rx_channels, draws)
-        del signal, draws  # the frame's grid-sized arrays go before the RX DSP
+        known, signal, cut_power, noise_seed = _send(sc, plans, stage, seed, rx_channels)
+        rx = signal if sc.loopback else receive(link, signal, cut_power, rx_channels, noise_seed)
+        del signal  # the frame's composite goes before the RX DSP
     if sc.loopback:
         captures = dict(rx)  # the clipped drives
     else:
@@ -351,15 +349,15 @@ def _shared_probe(sc: ScenarioConfig, seed: int):
     """The probe frame of ``sc`` and ``seed``, for points that differ only in the OSNR.
 
     It is sent once (``_send``, all lit channels received) and detected
-    once (``detect``), which consumes the composite; the composite and the
-    draws go when this returns.  Returns ``(known, signal)``, the ``sent``
+    once (``detect``), which consumes the composite; the composite goes
+    when this returns.  Returns ``(known, signal)``, the ``sent``
     of ``_transmit_once`` and ``_probe``: ``signal`` is the detection, or a
     loopback frame's drives.
     """
     lit = sc.link.lit_channels
-    known, signal, cut_power, draws = _send(sc, _probe_plans(sc), 0, seed, lit)
+    known, signal, cut_power, noise_seed = _send(sc, _probe_plans(sc), 0, seed, lit)
     if not sc.loopback:
-        signal = detect(sc.link, signal, cut_power, lit, draws)
+        signal = detect(sc.link, signal, cut_power, lit, noise_seed)
     return known, signal
 
 

@@ -142,7 +142,8 @@ def modulate_frame(
     if bits_per_symbol:
         bit_matrix = payload_bits.reshape(cfg.n_data_symbols, bits_per_symbol)
         offsets = np.cumsum(plan.bits) - plan.bits
-        for b in np.unique(plan.bits[plan.bits > 0]):
+        # the orders in use, ascending, as np.unique gives them without importing numpy.ma
+        for b in np.flatnonzero(np.bincount(plan.bits[plan.bits > 0])):
             carriers = np.nonzero(plan.bits == b)[0]
             cols = offsets[carriers][:, None] + np.arange(b)
             groups = bits_to_groups(bit_matrix[:, cols], int(b))

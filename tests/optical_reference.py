@@ -7,8 +7,11 @@ the noise draw) is written out here rather than taken from ``dmtlink``, so
 a fault in the package's frequency-domain pieces cannot hide in both.  Only
 the filter shape, the waveform type and the two physical constants are
 shared, and ``rx_frontend`` runs the package's own front end.  The last
-section keeps the package's earlier full-grid launch and multiplexer, the
-oracle that ``compose`` must match byte for byte.
+two sections keep the package's earlier full-grid launch and multiplexer,
+the oracle that ``compose`` must match byte for byte, and its earlier
+one-shot noise draws and full-grid receive ports, the oracles of the noise
+``receive`` and ``detect`` draw in blocks and of the ports they hold over
+their windows.
 
 All fields are complex baseband envelopes.  ``OpticalField.center_offset``
 records the absolute frequency (relative to the WDM grid center) that the
@@ -26,6 +29,7 @@ from dmtlink.channel import (
     FilterSpec,
     _capture,
     _mean_power,
+    _noise_scale,
     _span_operators,
 )
 from dmtlink.core import RealWaveform, _freeze
@@ -180,3 +184,37 @@ def full_grid_compose(link, drives, occupied_bandwidth):
         _full_grid_mux_add(composite, spectrum, shift, occupied_bandwidth / 2 * duration)
     _span_operators(replace(link, osnr_db=np.inf), n).disperse(composite)
     return composite, cut_power
+
+
+# The noise and the receive ports as the package held them before it drew the
+# noise in blocks where it lands and kept each port over its window: one
+# ``standard_normal(2 * m)`` of unit draws for the ``m`` bins of a noise band,
+# real parts first, added in one pass, and each receiver's product of ports
+# on the full grid.
+
+
+def noise_draws(link, n, rx_channels, noise_seed):
+    """The unit draws of the noise of ``rx_channels`` at ``noise_seed``, in one call."""
+    band = _span_operators(replace(link, osnr_db=np.inf), n).noise_band(rx_channels)
+    m = int(np.sum(band[:, 1] - band[:, 0]))
+    return np.random.default_rng(noise_seed).standard_normal(2 * m)
+
+
+def add_osnr_noise(spectrum, band, sample_rate, osnr_db, power, draws):
+    """Add ``draws`` (``noise_draws``), scaled to ``osnr_db``, over ``band`` in place."""
+    scale = _noise_scale(spectrum.size, sample_rate, osnr_db, power)
+    m = draws.size // 2
+    at = 0
+    for start, stop in band:
+        width = stop - start
+        spectrum.real[start:stop] += draws[at : at + width] * scale
+        spectrum.imag[start:stop] += draws[m + at : m + at + width] * scale
+        at += width
+
+
+def full_grid_port(link, n, channel):
+    """One channel's interleaver times demultiplexer response on the full grid."""
+    freq = np.fft.fftfreq(n, d=1.0 / link.grid_rate)
+    port = link.interleaver(channel).amplitude_response(freq)
+    port *= link.demux(channel).amplitude_response(freq)
+    return port

@@ -3,8 +3,9 @@
 ``compose`` launches one channel at a time: the DAC, the modulator, one
 ``rfft`` and the interleaver port, evaluated in blocks of bins.  The checks
 below hold its composite and cut power to the earlier full-grid launch
-(``tests/optical_reference.py``) byte for byte and bound a warm ``_send``'s
-traced peak by the composite's bytes.  That each launch port covers the
+(``tests/optical_reference.py``) byte for byte and bound by the composite's
+bytes the traced peak of a warm ``_send``, and of a warm 3-lit probe frame
+sent and received.  That each launch port covers the
 grid once is checked in ``tests/test_harness.py``.
 """
 
@@ -83,3 +84,24 @@ def test_warm_send_peaks_within_four_composites(name):
     composite = sent[1]
     assert peak - entry <= 4 * composite.nbytes, (peak - entry) / composite.nbytes
 
+
+def test_warm_three_lit_probe_frame_holds_no_draws():
+    """A warm 3-lit probe frame, sent and received (``_transmit_once``), peaks
+    at most 3.25x its composite's bytes above its entry.  The noise is drawn
+    in blocks where it lands and each receive port is held over its window:
+    it peaks at 3.01x, set by ``compose``, where an array of unit draws
+    (0.87x) living from ``_send`` to the end of ``receive`` took it to 3.48x."""
+    lit, rate, km = SEND_CASES["three_lit_56g_240km"]
+    sc = ScenarioConfig(link=_link(lit, km, osnr_db=38.0), net_rate=rate)
+    plans = harness_mod._probe_plans(sc)
+    harness_mod._transmit_once(sc, plans, 0, 4, lit, {})  # builds the link's operators
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        received = harness_mod._transmit_once(sc, plans, 0, 4, lit, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    composite_bytes = 16 * 1_031_680
+    assert set(received) == set(lit)
+    assert peak - entry <= 3.25 * composite_bytes, (peak - entry) / composite_bytes

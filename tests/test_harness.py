@@ -661,12 +661,12 @@ class TestSharedProbe:
         return replace(sc, link=replace(sc.link, active_channels=lit))
 
     def test_each_point_captures_what_the_span_gives(self, monkeypatch):
-        """Every point's probe captures equal a frame sent anew (``compose``,
-        ``noise_draws``) and taken through the shared-frame path (``detect``,
-        ``capture``) on the same drives, OSNR and noise seed, bit for bit.
-        Frames of the count, which starts after the probes, are not recorded."""
+        """Every point's probe captures equal a frame sent anew (``compose``
+        and its noise seed) and taken through the shared-frame path
+        (``detect``, ``capture``) on the same drives, OSNR and noise seed,
+        bit for bit.  Frames of the count, which starts after the probes, are not recorded."""
         composed, seeds, received, counting = [], [], [], []
-        compose, draw = harness_mod.compose, harness_mod.noise_draws
+        compose, detect = harness_mod.compose, harness_mod.detect
         capture, count = harness_mod.capture, harness_mod._count
 
         def recorded_compose(link, drives, *args):
@@ -674,10 +674,10 @@ class TestSharedProbe:
                 composed.append(drives)
             return compose(link, drives, *args)
 
-        def recorded_draws(link, n, rx_channels, noise_seed):
+        def recorded_detect(link, composite, cut_power, rx_channels, noise_seed):
             if not counting:
                 seeds.append(noise_seed)
-            return draw(link, n, rx_channels, noise_seed)
+            return detect(link, composite, cut_power, rx_channels, noise_seed)
 
         def recorded_capture(link, detected, rx_channels):
             captures = capture(link, detected, rx_channels)
@@ -690,7 +690,7 @@ class TestSharedProbe:
             return count(*args)
 
         monkeypatch.setattr(harness_mod, "compose", recorded_compose)
-        monkeypatch.setattr(harness_mod, "noise_draws", recorded_draws)
+        monkeypatch.setattr(harness_mod, "detect", recorded_detect)
         monkeypatch.setattr(harness_mod, "capture", recorded_capture)
         monkeypatch.setattr(harness_mod, "_count", recorded_count)
         sc = self._scenario()
@@ -788,7 +788,7 @@ class TestOnePathPerFrame:
         def no_draw(*args):
             raise AssertionError("noise was drawn")
 
-        monkeypatch.setattr(harness_mod, "noise_draws", no_draw)
+        monkeypatch.setattr(channel_mod, "_unit_noise", no_draw)
         sc = _fast_optical(osnr_db=np.inf, reach_km=10.0)
         plans = harness_mod._probe_plans(sc)
         _known, composite, _cut_power, draws = harness_mod._send(sc, plans, 0, 4, [1])

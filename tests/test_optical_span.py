@@ -1,7 +1,7 @@
 """Property tests: the optical span against the time-domain chain it replaces.
 
-The span is ``compose``, ``noise_draws`` and ``receive``, one frame sent and
-received as the harness does it (``span_frame.span_captures``).
+The span is ``compose`` and ``receive``, one frame sent and received as
+the harness does it (``span_frame.span_captures``).
 
 The reference below runs the stages of ``optical_reference.py``, the chain
 the harness used to run, with two changes:

@@ -17,17 +17,22 @@ import dmtlink.harness as harness_mod
 from dmtlink import _spectral
 from dmtlink.channel import (
     LinkConfig,
-    _add_osnr_noise,
     _launch,
     _mean_power,
     _mux_add,
     _smooth_length,
     _span_operators,
-    noise_draws,
 )
 from dmtlink.core import RealWaveform, SubcarrierPlan
 from dmtlink.harness import ScenarioConfig
-from optical_reference import OpticalField, photodiode, rx_frontend
+from optical_reference import (
+    OpticalField,
+    add_osnr_noise,
+    full_grid_port,
+    noise_draws,
+    photodiode,
+    rx_frontend,
+)
 from span_frame import span_captures
 
 GRID_POINTS = 1_031_680  # one frame on the 256 GS/s composite grid
@@ -104,10 +109,10 @@ def _full_grid_captures(link, drives, rx, seed):
     if np.isfinite(link.osnr_db):
         power = _mean_power(composite) if cut_power is None else cut_power
         draws = noise_draws(link, n, rx, seed)
-        _add_osnr_noise(composite, operators.noise_band(rx), rate, link.osnr_db, power, draws)
+        add_osnr_noise(composite, operators.noise_band(rx), rate, link.osnr_db, power, draws)
     captures = {}
     for ch in rx:
-        field = OpticalField(np.fft.ifft(composite * operators.receive_port(ch)), rate)
+        field = OpticalField(np.fft.ifft(composite * full_grid_port(link, n, ch)), rate)
         captures[ch] = rx_frontend(
             photodiode(field), link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
         )
@@ -161,7 +166,7 @@ def test_receive_window_holds_every_passed_bin(lit):
         start, width = operators.receive_window(ch)
         inside = np.zeros(4096, dtype=bool)
         inside[(start + np.arange(width)) % 4096] = True
-        passed = operators.receive_port(ch) > eps
+        passed = full_grid_port(link, 4096, ch) > eps
         assert np.all(passed[inside]) and not np.any(passed[~inside])
 
 

@@ -17,6 +17,7 @@ import pytest
 import dmtlink.harness as harness_mod
 from dmtlink import _spectral
 from dmtlink.channel import (
+    OSNR_REFERENCE_BANDWIDTH,
     LinkConfig,
     _kept_frequencies,
     _span_operators,
@@ -27,7 +28,7 @@ from dmtlink.channel import (
 from dmtlink.harness import ScenarioConfig
 from optical_reference import (
     OpticalField,
-    load_noise_to_osnr,
+    noise_draws,
     optical_filter,
     photodiode,
     rx_frontend,
@@ -55,21 +56,29 @@ def _scenario(name, quantize_bits=None):
     return ScenarioConfig(link=link, net_rate=rate)
 
 
-def _reference_draws(link, n, rx, seed):
-    """Unit draws of the span's noise band that are the spectrum of the noise
-    ``load_noise_to_osnr`` adds at ``seed``, so that both chains see one noise."""
-    rng = np.random.default_rng(seed)
-    unit = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    spectrum = np.fft.fft(unit) / np.sqrt(n)
+def _reference_noise(link, n, rx, seed, power):
+    """Full-band time-domain noise putting ``power`` at ``link.osnr_db`` whose
+    bins in the span's noise band hold the span's own draws at ``seed``
+    (``noise_draws``), so that both chains see one noise; the other bins,
+    where the span draws nothing, are filled from a second generator."""
     band = _span_operators(replace(link, osnr_db=np.inf), n).noise_band(rx)
-    bins = np.concatenate([np.arange(start, stop) for start, stop in band])
-    return np.concatenate([spectrum.real[bins], spectrum.imag[bins]])
+    passed = np.zeros(n, dtype=bool)
+    passed[np.concatenate([np.arange(start, stop) for start, stop in band])] = True
+    psd = power / (10 ** (link.osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
+    scale = np.sqrt(n) * np.sqrt(psd * link.grid_rate / 2.0)
+    spectrum = np.empty(n, dtype=np.complex128)
+    outside = np.random.default_rng([seed, 1]).standard_normal(2 * np.count_nonzero(~passed))
+    for bins, draws in ((passed, noise_draws(link, n, rx, seed)), (~passed, outside)):
+        m = draws.size // 2
+        spectrum[bins] = scale * (draws[:m] + 1j * draws[m:])
+    return np.fft.ifft(spectrum)
 
 
 def _reference_captures(link, composite, cut_power, rx, seed):
     """``optical_reference``'s chain on the composite at ``link.osnr_db``."""
-    field = OpticalField(np.fft.ifft(composite), link.grid_rate)
-    noisy = load_noise_to_osnr(field, link.osnr_db, seed, reference_power=cut_power)
+    n = composite.size
+    noise = _reference_noise(link, n, rx, seed, cut_power)
+    noisy = OpticalField(np.fft.ifft(composite) + noise, link.grid_rate)
     captures = {}
     for ch in rx:
         passed = optical_filter(optical_filter(noisy, link.interleaver(ch)), link.demux(ch))
@@ -80,12 +89,12 @@ def _reference_captures(link, composite, cut_power, rx, seed):
 
 
 def _frame(sc):
-    """A probe frame's composite, cut power and draws (those of ``_reference_draws``)."""
+    """A probe frame's composite, cut power and noise seed (that of ``_reference_noise``)."""
     lit = sc.link.lit_channels
-    _known, composite, cut_power, _draws = harness_mod._send(
+    _known, composite, cut_power, _seed = harness_mod._send(
         sc, harness_mod._probe_plans(sc), 0, 4, lit
     )
-    return composite, cut_power, _reference_draws(sc.link, composite.size, lit, NOISE_SEED)
+    return composite, cut_power, NOISE_SEED
 
 
 @pytest.mark.parametrize("name", sorted(FRAMES))
@@ -94,15 +103,15 @@ def test_terms_match_receive_and_the_time_domain_chain(name):
     the peak of ``receive``'s capture of the same frame and of the chain's."""
     sc = _scenario(name)
     lit = sc.link.lit_channels
-    composite, cut_power, draws = _frame(sc)
+    composite, cut_power, noise_seed = _frame(sc)
     want = {}
     for osnr_db in OSNRS_DB:
         link = replace(sc.link, osnr_db=osnr_db)
         want[osnr_db] = (
-            receive(link, composite.copy(), cut_power, lit, draws),
+            receive(link, composite.copy(), cut_power, lit, noise_seed),
             _reference_captures(link, composite, cut_power, lit, NOISE_SEED),
         )
-    detected = detect(sc.link, composite, cut_power, lit, draws)
+    detected = detect(sc.link, composite, cut_power, lit, noise_seed)
     for osnr_db in OSNRS_DB:
         got = capture(replace(sc.link, osnr_db=osnr_db), detected, lit)
         for ch in lit:
@@ -120,12 +129,14 @@ def test_quantized_terms_stay_within_one_step(name):
     (LSB) of ``receive``'s; the few that differ sit on a rounding edge."""
     sc = _scenario(name, quantize_bits=8)
     lit = sc.link.lit_channels
-    composite, cut_power, draws = _frame(sc)
+    composite, cut_power, noise_seed = _frame(sc)
     want = {
-        osnr_db: receive(replace(sc.link, osnr_db=osnr_db), composite.copy(), cut_power, lit, draws)
+        osnr_db: receive(
+            replace(sc.link, osnr_db=osnr_db), composite.copy(), cut_power, lit, noise_seed
+        )
         for osnr_db in OSNRS_DB
     }
-    detected = detect(sc.link, composite, cut_power, lit, draws)
+    detected = detect(sc.link, composite, cut_power, lit, noise_seed)
     for osnr_db in OSNRS_DB:
         got = capture(replace(sc.link, osnr_db=osnr_db), detected, lit)
         for ch in lit:
@@ -142,7 +153,7 @@ def test_infinite_osnr_captures_equal_receive(name):
     sc = _scenario(name)
     link = replace(sc.link, osnr_db=np.inf)
     lit = link.lit_channels
-    composite, cut_power, _draws = _frame(sc)
+    composite, cut_power, _seed = _frame(sc)
     want = receive(link, composite.copy(), cut_power, lit, None)
     detected = detect(link, composite, cut_power, lit, None)
     got = capture(link, detected, lit)

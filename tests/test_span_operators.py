@@ -1,8 +1,8 @@
 """The optical span's per-link operators, against a cold build.
 
-The span (``compose``, ``noise_draws``, ``receive``) builds its dispersion
-factor and receive ports the first time a link needs them and keeps them
-for the most recent link.  A warm cache, or one that another link has
+The span (``compose``, ``receive``) builds its dispersion factor and
+receive ports the first time a link needs them and keeps them, each keyed
+by what it depends on.  A warm cache, or one that another link has
 evicted, must give the cold build's captures bit for bit.
 """
 
@@ -19,6 +19,7 @@ from dmtlink.channel import (
     _span_operators,
 )
 from dmtlink.core import RealWaveform
+from optical_reference import full_grid_port
 from span_frame import span_captures
 
 DAC_RATE = 64e9
@@ -119,3 +120,53 @@ def test_cached_operators_are_read_only():
 def test_back_to_back_link_has_no_dispersion_table():
     link, n, rx = CASES["back_to_back"]
     assert _span_operators(replace(link, osnr_db=np.inf), n).dispersion is None
+
+
+WINDOW_CASES = {
+    # slot 0 is clipped at the grid's Nyquist; slots 1 and 2 wrap through bin 0
+    "three_lit_grid": (
+        LinkConfig(n_channels=4, active_channels=(0, 1, 2), channel_under_test=1,
+                   span_lengths_km=(240.0,)),
+        1_031_680,
+        [0, 1, 2],
+    ),
+    **{name: CASES[name] for name in ("odd_frame", "two_receivers")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_window_held_port_is_the_full_grid_port_on_its_window(name):
+    """Each receive port is kept over its receive window only: there it is the
+    full-grid product bit for bit, and outside it that product passes nothing."""
+    link, n, rx = WINDOW_CASES[name]
+    operators = _span_operators(replace(link, osnr_db=np.inf), n)
+    eps = np.finfo(np.float64).eps
+    for ch in rx:
+        start, width = operators.receive_window(ch)
+        full = full_grid_port(link, n, ch)
+        inside = (start + np.arange(width)) % n
+        assert np.array_equal(operators.receive_port(ch), full[inside])
+        outside = np.ones(n, dtype=bool)
+        outside[inside] = False
+        assert not np.any(full[outside] > eps)
+
+
+def test_links_share_the_operators_they_do_not_differ_in():
+    """The dispersion factor is keyed by the grid and the fiber, the receive
+    ports and noise bands by the grid and the filters: another detuning
+    shares both, another reach the ports, and another filter shape the
+    dispersion factor."""
+    link, n, rx = CASES["two_receivers"]
+
+    def shared(other):
+        first = _span_operators(replace(link, osnr_db=np.inf), n)
+        ports = [first.receive_port(ch) for ch in rx]
+        band = first.noise_band(rx)
+        operators = _span_operators(replace(other, osnr_db=np.inf), n)
+        same_ports = all(operators.receive_port(ch) is port for ch, port in zip(rx, ports))
+        same_ports &= operators.noise_band(rx) is band
+        return operators.dispersion is first.dispersion, same_ports
+
+    assert shared(replace(link, detuning=15e9)) == (True, True)
+    assert shared(replace(link, span_lengths_km=(120.0,))) == (False, True)
+    assert shared(replace(link, demux_fwhm=40e9)) == (True, False)

@@ -14,7 +14,12 @@ seeds.  Each run lasts ``run_seconds`` of the change tree's
 ``BENCH_<workload>.json`` is written in the current directory and rewritten
 after every run, so an interrupted run keeps its finished pairs.  The summary
 printed at the end gives, per end-to-end metric, each side's median and
-quartiles and the number of pairs where the change reads lower.
+quartiles, the number of pairs where the change reads lower, the difference
+of the medians against the distance between the parent's quartiles (a gain
+is claimed only when the change wins at least 9 pairs in 10 and the medians
+differ by more than that distance), and ``WORSE PAST BOUND`` when the
+change's median is worse than the parent's by more than the metric's bound
+in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -52,18 +57,35 @@ def machine(tree: Path) -> str:
             f"numpy {numpy or 'unknown'}")
 
 
-def summary(runs: list) -> list:
-    """Per end-to-end metric: medians, quartiles and the pairs the change reads lower."""
+def summary(runs: list, end_to_end: list) -> list:
+    """Per end-to-end metric: medians, quartiles, the pairs the change reads
+    lower, the medians' difference against the parent's quartile distance,
+    and a flag when the change is worse than its ``BENCHMARK.json`` bound.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list of metrics, each with its
+    ``better`` direction and relative ``bound``.
+    """
+    declared = {m["name"]: m for m in end_to_end}
     lines = []
     for name in runs[0]["parent"]["metrics"]:
         sides = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in ("parent", "change")}
         lower = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
         row = f"{name:14s}"
+        quartiles = {}
         for side, values in sides.items():
             q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                               if len(values) > 1 else values * 3)
+            quartiles[side] = q1, median, q3
             row += f"  {side} {median:.4g} (q1 {q1:.4g}, q3 {q3:.4g})"
-        lines.append(f"{row}  change lower in {lower} of {len(runs)}")
+        row += f"  change lower in {lower} of {len(runs)}"
+        (q1, parent, q3), change = quartiles["parent"], quartiles["change"][1]
+        row += f"  median diff {change - parent:+.4g} vs parent q3-q1 {q3 - q1:.4g}"
+        metric = declared.get(name)
+        if metric is not None and parent:
+            worse = (change - parent) / parent * (1 if metric["better"] == "lower" else -1)
+            if worse > metric["bound"]:
+                row += f"  WORSE PAST BOUND ({worse:+.1%} > {metric['bound']:.0%})"
+        lines.append(row)
     return lines
 
 
@@ -79,7 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change-label", required=True)
     args = parser.parse_args(argv)
     out = Path(f"BENCH_{args.workload}.json")
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
 
     record = {
         "workload": args.workload,
@@ -105,7 +128,7 @@ def main(argv=None) -> int:
         record[key].append({"seed": seed, "parent": pair["parent"], "change": pair["change"]})
         out.write_text(json.dumps(record, indent=1) + "\n")
     if record["runs"]:
-        print("\n".join(summary(record["runs"])))
+        print("\n".join(summary(record["runs"], benchmark["end_to_end"])))
     failed = [(r["seed"], s) for r in record["runs"] + record["traced"]
               for s in ("parent", "change") if r[s]["failed"] or not r[s]["correct"]]
     if failed:
