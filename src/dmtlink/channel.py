@@ -1,29 +1,32 @@
 """Linear optical channel: modulator, WDM grid, filters, fiber, noise, receiver.
 
 A frame crosses the span in one frequency-domain pass from modulator to
-receiver, in steps: ``compose`` sums the launched comb after dispersion,
-and ``receive`` draws the unit noise from its seed over the bins a
-receiver passes, scales it to the OSNR, adds it as a spectrum and detects
-each receiver on a grid that holds only its own passband.  A frame
-received at several OSNRs is instead detected once (``detect``: the
-detection is a quadratic in the noise scale, kept as its three terms) and
-captured at each OSNR (``capture``).  Only ``receive`` and ``capture``
-depend on the OSNR.  ``end_to_end_fading_profile`` probes the
-same pieces (the modulator transfer, the dispersion phase and the filter
-responses) with one tone at a time.
+receiver, in steps: ``compose`` sums the launched comb after dispersion;
+``detect`` lays each receiver's passband on a grid that holds only it and
+detects it there; ``capture`` runs the front end and the ADC.  The
+detection is a quadratic in the noise scale: with a noise seed, ``detect``
+keeps its three terms, so that a frame received at several OSNRs is
+detected once and captured at each.  ``receive``, the path of every other
+frame, adds the OSNR noise to the composite as a spectrum, drawn from its
+seed over the bins a receiver passes, then detects with no seed and
+captures at noise scale 0.  Only ``receive`` and ``capture`` depend on the
+OSNR.  ``end_to_end_fading_profile`` probes the same pieces (the modulator
+transfer, the dispersion phase and the filter responses) with one tone at
+a time.
 
 What a frame holds: its composite, a full two-sided spectrum of the grid
 (16.5 MB at 1,031,680 bins), is the one grid-sized array that lives from
-``compose`` to ``receive``.  Beside it, ``compose`` holds one buffer of the
+``compose`` to ``detect``.  Beside it, ``compose`` holds one buffer of the
 composite's size, in which each channel's drive, field and launched
 spectrum are built in turn; the launch port is evaluated in blocks of
 bins, so no grid-sized frequency or port array exists.  The noise is drawn
-in blocks straight into the composite (``receive``) or into each
-receiver's noise field (``detect``), so no array of draws exists.
-``receive`` adds one receiver's detection grid at a time; ``detect``
-keeps, in place of the composite, three spectra of the kept bins per
-receiver.  The operators that every frame shares hold each receive port
-only over the window of bins it passes.
+in blocks (``_add_noise``) straight into the composite (``receive``) or
+into each receiver's noise field (``detect`` with a seed), so no array of
+draws exists.  ``detect`` adds one receiver's detection grid at a time and
+keeps, in place of the composite, the spectra of the kept bins of each
+receiver: one without a noise seed, three with one.  The operators that
+every frame shares hold each receive port only over the window of bins it
+passes.
 
 Sign conventions, documented once here:
 
@@ -321,7 +324,13 @@ def _dispersion_phase(
 
 def _noise_scale(n: int, sample_rate: float, osnr_db: float, power: float) -> float:
     """``sqrt(n) * sigma``: the factor on each unit draw of an ``n``-bin spectrum
-    that puts a signal of ``power`` at ``osnr_db`` (see ``_add_osnr_noise``)."""
+    that puts a signal of ``power`` at ``osnr_db``.
+
+    Circular noise ``sigma * (re + 1j * im)`` per sample has, as its DFT,
+    circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
+    so the noise is drawn as a spectrum, with no transform; this factor is
+    the only part of it that depends on the OSNR and the power.
+    """
     if power <= 0:
         raise ValueError("cannot set a finite OSNR on a zero-power field")
     psd = power / (10 ** (osnr_db / 10.0) * OSNR_REFERENCE_BANDWIDTH)
@@ -349,28 +358,25 @@ def _unit_noise(noise_seed: int, band: np.ndarray):
                 yield part, start, stop, draws
 
 
-def _add_osnr_noise(
-    spectrum: np.ndarray,
-    band: np.ndarray,
-    sample_rate: float,
-    osnr_db: float,
-    power: float,
-    noise_seed: int,
+def _add_noise(
+    field: np.ndarray, noise_seed: int, band: np.ndarray, scale: float, runs
 ) -> None:
-    """Add, in place, the spectrum of white noise putting a signal of ``power`` at ``osnr_db``.
+    """Add, in place, ``scale`` times the unit noise of ``band`` where ``runs`` lay it.
 
-    Circular noise ``sigma * (re + 1j * im)`` per sample has, as its DFT,
-    circular noise ``sqrt(n) * sigma * (re + 1j * im)`` per bin, iid again,
-    so the spectrum is drawn directly, with no transform.  It lives only on
-    ``band``, and its unit draws are ``_unit_noise``'s at ``noise_seed``,
-    drawn a block at a time where they land.  Each bin gains its unit draw
-    times ``sqrt(n) * sigma`` (``_noise_scale``), the only factor that
-    depends on the OSNR and the power.
+    One pass of ``_unit_noise`` at ``noise_seed``: each bin of ``band`` in a
+    run ``(a, b, to)``, bins ``[a, b)`` landing at ``[to, to + b - a)`` of
+    ``field``, gains its unit draw ``re + 1j * im`` times ``scale`` there.
+    ``receive`` adds the OSNR noise to the composite on the identity run;
+    ``detect`` lays each receiver's unit noise (``scale`` 1.0) on its zeroed
+    detection grid by ``_window_runs``.
     """
-    scale = _noise_scale(spectrum.size, sample_rate, osnr_db, power)
-    for part, start, stop, draws in _unit_noise(noise_seed, band):
+    for part, lo, hi, draws in _unit_noise(noise_seed, band):
         draws *= scale
-        getattr(spectrum, part)[start:stop] += draws
+        out = getattr(field, part)
+        for a, b, to in runs:
+            first, last = max(a, lo), min(b, hi)
+            if first < last:
+                out[to + first - a : to + last - a] += draws[first - lo : last - lo]
 
 
 def _mean_power(spectrum: np.ndarray) -> float:
@@ -412,31 +418,6 @@ def _digitize(
             )
             samples = codes * lsb + mean
     return RealWaveform(samples, out_rate)
-
-
-def _capture(
-    spectrum: np.ndarray,
-    n_in: int,
-    in_rate: float,
-    bandwidth: float,
-    out_rate: float,
-    quantize_bits: int | None,
-) -> RealWaveform:
-    """Receiver front end on the detected signal's lowest rfft bins.
-
-    The front end applies its response (``_front_end``), resamples to
-    ``out_rate`` and, when ``quantize_bits`` is set, quantizes
-    (``_digitize``).  ``spectrum`` holds at least the ``n_out // 2 + 1``
-    bins the capture keeps, on the scale of the rfft of the ``n_in``-sample
-    signal; only those bins are filtered, in place, and one ``irfft`` makes
-    the capture.
-    """
-    if out_rate > in_rate:
-        raise ValueError("out_rate must not exceed the input rate")
-    n_out = _spectral.output_length(n_in, in_rate, out_rate)
-    spectrum = spectrum[: n_out // 2 + 1]
-    _front_end(spectrum, n_in, in_rate, bandwidth)
-    return _digitize(spectrum, n_in, n_out, out_rate, quantize_bits)
 
 
 def _smooth_length(m: int) -> int:
@@ -719,64 +700,35 @@ def receive(
 ) -> dict:
     """Add the OSNR noise to ``compose``'s composite and capture each receiver.
 
-    The noise is drawn at ``noise_seed``, scaled to the link's OSNR and
-    added as a spectrum over the bins some receiver of ``rx_channels``
-    passes above float64's epsilon (``_add_osnr_noise``), a block of draws
-    at a time.  It refers to ``cut_power``, or to the composite's power
-    when that is ``None``.  At an infinite OSNR nothing is added and
-    ``noise_seed`` may be ``None``.
-
-    Each receiver takes the circular run of ``W`` bins its ports pass above
-    that epsilon, applies both ports in one product and lays the run onto
-    a detection grid of ``L`` bins, the smallest 2-3-5-smooth length of at
-    least ``W + K``, where ``K`` is the number of bins the capture keeps
-    (at least ``2K`` for a band narrower than the capture, and at most the
-    frame).  It transforms back, detects and transforms forward on that
-    grid.  A bin-to-position map that is one shift modulo ``L`` leaves
-    ``|E|^2`` unchanged, and with ``L >= W + K`` no beat between passed
-    bins aliases onto a kept bin, so this is detection on the whole frame,
-    to rounding, at about 0.7 of its transform length.
+    The noise is drawn at ``noise_seed``, scaled to the link's OSNR
+    (``_noise_scale``) and added as a spectrum over the bins some receiver
+    of ``rx_channels`` passes above float64's epsilon (``_add_noise``), in
+    one pass of the stream, a block of draws at a time.  It refers to
+    ``cut_power``, or to the composite's power when that is ``None``.  At
+    an infinite OSNR nothing is added and ``noise_seed`` may be ``None``.
+    The noisy composite is then detected with no noise seed (``detect``,
+    which keeps only ``A``, the detection of the noisy field) and captured
+    at noise scale 0 (``capture``).
 
     Works in place: the noise lands in ``composite`` and the last receiver
     detects in its buffer.  A caller receiving one composite at several
-    OSNRs detects it once (``detect``) and captures it at each
-    (``capture``).  Returns receive channel -> front-end capture at
-    ``link.rx_sample_rate``.
+    OSNRs detects it once with the noise seed and captures it at each.
+    Returns receive channel -> front-end capture at ``link.rx_sample_rate``.
     """
-    rate = link.grid_rate
-    n = composite.size
     rx_channels = list(rx_channels)
-    operators = _span_operators(replace(link, osnr_db=np.inf), n)
+    noiseless = replace(link, osnr_db=np.inf)
     if np.isfinite(link.osnr_db):
         if noise_seed is None:
             raise ValueError(
                 f"a finite OSNR ({link.osnr_db} dB) needs the seed of the frame's noise draws"
             )
+        n = composite.size
         power = _mean_power(composite) if cut_power is None else cut_power
-        band = operators.noise_band(rx_channels)
-        _add_osnr_noise(composite, band, rate, link.osnr_db, power, noise_seed)
-
-    kept = _spectral.output_length(n, rate, link.rx_sample_rate) // 2 + 1
-    captures = {}
-    for i, ch in enumerate(rx_channels):
-        start, width = operators.receive_window(ch)
-        size = min(_smooth_length(max(width, kept) + kept), n)
-        if i + 1 < len(rx_channels):
-            field = np.empty(size, dtype=np.complex128)
-        else:  # the last receiver works in the composite's own buffer
-            field = composite[:size]
-        _lay_window(field, composite, operators.receive_port(ch), start, width)
-        detected = np.abs(np.fft.ifft(field, out=field))
-        del field
-        # square-law detection, |E|^2 with unit responsivity
-        spectrum = np.fft.rfft(np.square(detected, out=detected))[:kept].copy()
-        del detected
-        spectrum *= size / n  # onto the scale of the n-sample detection
-        captures[ch] = _capture(
-            spectrum, n, rate, link.rx_bandwidth, link.rx_sample_rate, link.quantize_bits
-        )
-        del spectrum
-    return captures
+        scale = _noise_scale(n, link.grid_rate, link.osnr_db, power)
+        band = _span_operators(noiseless, n).noise_band(rx_channels)
+        _add_noise(composite, noise_seed, band, scale, ((0, n, 0),))
+    detected = detect(noiseless, composite, None, rx_channels, None)
+    return capture(noiseless, detected, rx_channels)
 
 
 def detect(
@@ -788,26 +740,36 @@ def detect(
 ) -> tuple:
     """Detect ``compose``'s composite once, for captures at any OSNR (``capture``).
 
+    Each receiver takes the circular run of ``W`` bins its ports pass above
+    float64's epsilon, applies both ports in one product and lays the run
+    onto a detection grid of ``L`` bins, the smallest 2-3-5-smooth length
+    of at least ``W + K``, where ``K`` is the number of bins the capture
+    keeps (at least ``2K`` for a band narrower than the capture, and at
+    most the frame).  It transforms back, detects and transforms forward on
+    that grid.  A bin-to-position map that is one shift modulo ``L`` leaves
+    ``|E|^2`` unchanged, and with ``L >= W + K`` no beat between passed
+    bins aliases onto a kept bin, so this is detection on the whole frame,
+    to rounding, at about 0.7 of its transform length.
+
     Each receiver's field is ``E = E_s + s * E_w``: ``E_s`` is the
-    composite's window through its ports, laid as ``receive`` lays it;
-    ``E_w`` is the unit noise ``receive`` draws at ``noise_seed`` for
-    ``rx_channels``, drawn straight onto the grid and laid the same way
-    (``_lay_noise``); and ``s`` is the noise
+    composite's window through its ports (``_lay_window``); ``E_w`` is the
+    unit noise ``receive`` draws at ``noise_seed`` for ``rx_channels``,
+    drawn straight onto the grid where ``_window_runs`` lays the window
+    (``_add_noise``) and multiplied by the ports; and ``s`` is the noise
     scale an OSNR sets (``_noise_scale``).  The detected signal is then
     ``|E|^2 = A + 2 s B + s^2 C``, with ``A = |E_s|^2``,
     ``B = Re(conj(E_s) E_w)`` and ``C = |E_w|^2``, and what follows up to
     the capture's ``irfft`` is linear: each term is transformed once, and
     its kept bins are scaled to the frame and passed through the front end
-    (``_front_end``).
+    (``_front_end``).  With no noise seed only ``A`` is formed.
 
-    Works in place, as ``receive`` does: each receiver draws and transforms
-    ``E_w`` first, in one pass of the noise stream, the last one detects
-    ``E_s`` in the composite's buffer, and each field goes once its terms
-    are formed.  Returns ``(n, power, terms)``: the frame's bins; the power
-    the OSNR refers to, ``cut_power`` or else the composite's (``None``
-    without a noise seed); and receive channel -> read-only ``(A, B, C)``
-    spectra of the kept bins, ``B`` and ``C`` ``None`` without a noise
-    seed.
+    Works in place: each receiver draws and transforms ``E_w`` first, in
+    one pass of the noise stream, the last one detects ``E_s`` in the
+    composite's buffer, and each field goes once its terms are formed.
+    Returns ``(n, power, terms)``: the frame's bins; the power the OSNR
+    refers to, ``cut_power`` or else the composite's (``None`` without a
+    noise seed); and receive channel -> read-only ``(A, B, C)`` spectra of
+    the kept bins, ``B`` and ``C`` ``None`` without a noise seed.
     """
     rate = link.grid_rate
     n = composite.size
@@ -835,7 +797,11 @@ def detect(
         b = c = None
         if noisy:
             noise = np.zeros(size, dtype=np.complex128)
-            _lay_noise(noise, noise_seed, band, port, start, width, n)
+            runs = _window_runs(n, size, start, width)
+            _add_noise(noise, noise_seed, band, 1.0, runs)
+            for lo, hi, to in runs:
+                at = (lo - start) % n
+                noise[to : to + hi - lo] *= port[at : at + hi - lo]
             np.fft.ifft(noise, out=noise)
         last = i + 1 == len(rx_channels)
         field = composite[:size] if last else np.empty(size, dtype=np.complex128)
@@ -850,6 +816,7 @@ def detect(
             b = kept_spectrum(detected, size)
         detected = np.abs(field)
         del field
+        # square-law detection, |E|^2 with unit responsivity
         a = kept_spectrum(np.square(detected, out=detected), size)
         del detected
         terms[ch] = (a, b, c)
@@ -861,8 +828,9 @@ def capture(link: LinkConfig, detected: tuple, rx_channels) -> dict:
 
     Each receiver's kept bins are ``A + 2 s B + s^2 C`` with ``s`` the noise
     scale of the OSNR (``_noise_scale``; 0 at an infinite OSNR), and
-    ``_digitize`` makes the capture from them, as in ``receive``.  The
-    captures agree with ``receive``'s on the same frame to rounding.
+    ``_digitize`` makes the capture from them.  ``receive`` is this capture
+    at scale 0 of a no-seed detection of the noisy composite; at a finite
+    OSNR, a seeded detection captures the same frame to rounding.
     ``detected`` is read, not changed, so one detection serves every OSNR.
     Returns receive channel -> front-end capture at ``link.rx_sample_rate``.
     """
@@ -927,35 +895,6 @@ def _lay_window(
     (_, low, _), (start, stop, to) = runs
     field[low:to] = 0
     field[to + stop - start :] = 0
-
-
-def _lay_noise(
-    field: np.ndarray,
-    noise_seed: int,
-    band: np.ndarray,
-    port: np.ndarray,
-    start: int,
-    width: int,
-    n: int,
-) -> None:
-    """Draw the unit noise of ``band`` times ``port`` onto one receiver's
-    zeroed detection grid, as ``_lay_window`` lays the composite.
-
-    One pass of ``_unit_noise`` at ``noise_seed``, the stream that
-    ``_add_osnr_noise`` draws, puts each bin of ``band`` inside the window
-    where ``_window_runs`` puts it, as its unit draw ``re + 1j * im``; the
-    window is then multiplied by the port.
-    """
-    runs = _window_runs(n, field.size, start, width)
-    for part, lo, hi, draws in _unit_noise(noise_seed, band):
-        out = getattr(field, part)
-        for a, b, to in runs:
-            first, last = max(a, lo), min(b, hi)
-            if first < last:
-                out[to + first - a : to + last - a] = draws[first - lo : last - lo]
-    for a, b, to in runs:
-        at = (a - start) % n
-        field[to : to + b - a] *= port[at : at + b - a]
 
 
 def end_to_end_fading_profile(

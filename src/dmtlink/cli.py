@@ -337,6 +337,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if record.worst_ber >= sc.gap.target_ber else 0
 
 
+_MAX_SWEEP_POINTS = 10_000
+"""The most points one sweep runs; each is at least one seeded link run."""
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     sc = _tested_scenario(cfg)
@@ -346,6 +350,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"a sweep needs a finite --start and --stop and a positive, finite --step, "
             f"got {args.start:g}, {args.stop:g} and {args.step:g}"
+        )
+    if (args.stop - args.start) / args.step >= _MAX_SWEEP_POINTS:  # before any allocation
+        raise ConfigError(
+            f"--start {args.start:g}, --stop {args.stop:g} and --step {args.step:g} make "
+            f"more than the {_MAX_SWEEP_POINTS:,} points a sweep runs"
         )
     values = np.arange(args.start, args.stop + args.step / 2, args.step)
     if values.size == 0:

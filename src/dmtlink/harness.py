@@ -22,11 +22,12 @@ then an exact whole-bin shift of each channel's spectrum, not a mixer, and
 the optical span from modulator to photodiode runs on one composite spectrum.
 Every frame takes one path: it is sent (``_send``: modulation, DAC,
 ``channel.compose`` and the seed of the unit noise, none of which depends on
-the OSNR), then received at the link's OSNR (``channel.receive``, which
-draws the noise).  A search's
-probe frame is the one exception: it is sent and detected once
-(``_shared_probe``, ``channel.detect``) and captured at each OSNR it
-probes (``channel.capture``).  The
+the OSNR), detected (``channel.detect``) and captured (``channel.capture``).
+A frame received at one OSNR goes through ``channel.receive``, which adds
+the noise to the composite, detects it with no noise seed and captures it
+at noise scale 0.  A search's probe frame is instead detected once with its
+noise seed, which keeps the detection's three terms in the noise scale
+(``_shared_probe``), and captured at each OSNR it probes.  The
 receiver reads the one-period capture circularly, in sync and in
 demodulation alike (a window that runs past the end continues at the
 start, as it does in the looped signal).  Every frame
@@ -423,12 +424,6 @@ def _count(sc: ScenarioConfig, seed: int, plans: dict, timing: dict, channels) -
     return reports
 
 
-def _train(sc: ScenarioConfig, seed: int, sent):
-    """Probe and load: ``(plans, timing)`` of every lit channel."""
-    snr, timing = _probe(sc, seed, sent)
-    return _load(sc, snr), timing
-
-
 def _check_lit(link: LinkConfig, channels) -> None:
     """Raise ``ValueError`` for a channel to report on that ``link`` does not light."""
     for ch in channels:
@@ -512,10 +507,12 @@ def evaluate_point(sc: ScenarioConfig, seed: int, channels=None) -> dict:
 def _pool_map(tasks, workers) -> list:
     """BER of each (scenario, seed) task's channel under test (``evaluate_point``).
 
-    Runs serially or on a process pool; results merge by task index, so
+    Runs serially or on a process pool of at most one worker per task (a
+    pool forks all its workers up front); results merge by task index, so
     parallel output is identical to serial.
     """
-    if not workers or workers <= 1:
+    workers = min(workers or 1, len(tasks))
+    if workers <= 1:
         cells = [evaluate_point(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,11 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from dmtlink import _spectral
 from dmtlink.channel import (
     OSNR_REFERENCE_BANDWIDTH,
     SPEED_OF_LIGHT,
     FilterSpec,
-    _capture,
+    _digitize,
+    _front_end,
     _mean_power,
     _noise_scale,
     _span_operators,
@@ -130,10 +132,15 @@ def rx_frontend(
     out_rate: float = 80e9,
     quantize_bits: int | None = None,
 ) -> RealWaveform:
-    """The package's receiver front end (``channel._capture``) on a whole waveform."""
-    return _capture(
-        np.fft.rfft(w.samples), w.samples.size, w.sample_rate, bandwidth, out_rate, quantize_bits
-    )
+    """The package's receiver front end on a whole waveform: its response
+    (``channel._front_end``) on the kept rfft bins, then ``_digitize``."""
+    n_in, in_rate = w.samples.size, w.sample_rate
+    if out_rate > in_rate:
+        raise ValueError("out_rate must not exceed the input rate")
+    n_out = _spectral.output_length(n_in, in_rate, out_rate)
+    spectrum = np.fft.rfft(w.samples)[: n_out // 2 + 1]
+    _front_end(spectrum, n_in, in_rate, bandwidth)
+    return _digitize(spectrum, n_in, n_out, out_rate, quantize_bits)
 
 
 # The launch and the multiplexer as the package wrote them on the full grid,

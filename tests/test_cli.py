@@ -638,6 +638,16 @@ class TestSweepCommand:
         assert "--step" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_range_of_too_many_points_exits_2(self, tmp_path, capsys):
+        """A step so fine that the range holds ~4e16 points is a config error
+        naming the range flags, refused before any array of points exists."""
+        argv = ["sweep", "--axis", "osnr", "--start", "10", "--stop", "50", "--step", "1e-15"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert all(flag in err for flag in ("--start", "--stop", "--step"))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("start, stop", [("-50", "-50"), ("-50", "50")])
     def test_negative_reach_exits_2(self, tmp_path, capsys, start, stop):
         """A negative reach is a config error naming the axis, not back to back."""

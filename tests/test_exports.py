@@ -37,9 +37,10 @@ def test_every_exported_name_resolves(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
-def test_every_exported_function_and_class_is_used_by_the_package():
-    """Outside its own definition, some source file of ``dmtlink`` names it."""
-    statements = [  # (module, top-level statement, the names and attributes it uses)
+def _statements():
+    """(module, top-level statement, the names and attributes it uses) of
+    every source file of ``dmtlink``."""
+    return [
         (path.stem, stmt, {
             node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(stmt)
@@ -48,15 +49,37 @@ def test_every_exported_function_and_class_is_used_by_the_package():
         for path in sorted(Path(dmtlink.__file__).parent.glob("*.py"))
         for stmt in ast.parse(path.read_text()).body
     ]
+
+
+def _named_elsewhere(statements, stmt) -> bool:
+    return any(stmt.name in used for _, other, used in statements if other is not stmt)
+
+
+def test_every_exported_function_and_class_is_used_by_the_package():
+    """Outside its own definition, some source file of ``dmtlink`` names it."""
+    statements = _statements()
     unused = []
     for layer in LAYERS:
         exported = set(importlib.import_module(f"dmtlink.{layer}").__all__)
         for module, stmt, _ in statements:
             defines = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             if module == layer and defines and stmt.name in exported:
-                if not any(stmt.name in used for _, other, used in statements if other is not stmt):
+                if not _named_elsewhere(statements, stmt):
                     unused.append(f"{layer}.{stmt.name}")
     assert sorted(set(unused) - set(UNUSED_BY_DESIGN)) == []
+
+
+def test_every_private_function_is_used_by_the_package():
+    """A module-level private function is named by some other statement of
+    ``dmtlink``: one that only tests or references call is dead code."""
+    statements = _statements()
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, stmt, _ in statements
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+        and not _named_elsewhere(statements, stmt)
+    ]
+    assert unused == []
 
 
 def test_every_public_class_member_of_a_layer_is_read_by_the_package():

@@ -837,9 +837,13 @@ def _verdict_map(point):
     value = required_osnr(sc, tol_db=SEARCH_TOL_DB, seed=seed)
     point, run_seed = harness_mod._osnr_point(sc, value, seed)
     sent = harness_mod._shared_probe(point, run_seed)
+
+    def train(point, run_seed):  # probe, then load
+        snr, _timing = harness_mod._probe(point, run_seed, sent)
+        return harness_mod._load(point, snr)
+
     verdicts = [
-        harness_mod._operable(harness_mod._train, *harness_mod._osnr_point(sc, x, seed), sent)
-        is not None
+        harness_mod._operable(train, *harness_mod._osnr_point(sc, x, seed)) is not None
         for x in value + np.arange(-8, 9) * 0.125
     ]
     return value, verdicts
@@ -868,6 +872,34 @@ class TestSweepDetuning:
         pooled = sweep_detuning(sc, offsets, seed=3, workers=2)
         assert serial.dtype == np.float64 and serial.shape == (len(offsets),)
         assert np.array_equal(serial, pooled)
+
+
+class TestPoolMap:
+    def test_starts_at_most_one_worker_per_task(self, monkeypatch):
+        """A pool forks all its workers up front, so a worker count far above
+        the number of tasks asks for one worker per task, and no more."""
+        asked = []
+
+        class RecordingPool:  # runs the tasks in this process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            harness_mod, "evaluate_point", lambda sc, seed: {sc.link.cut_index: seed / 10}
+        )
+        tasks = [(_fast_optical(), seed) for seed in (1, 2, 3)]
+        assert harness_mod._pool_map(tasks, 5000) == [0.1, 0.2, 0.3]
+        assert asked == [3]
 
 
 class TestSweepReach:

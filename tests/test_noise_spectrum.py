@@ -4,7 +4,7 @@
 transform: ``sqrt(n)*sigma*(re + 1j*im)`` per bin, from the unit draws of
 one ``default_rng(seed).standard_normal(2*m)`` over the ``m`` bins where
 some receiving channel's port exceeds float64's epsilon, in ascending
-order, which ``_add_osnr_noise`` draws in blocks where they land.
+order, which ``_add_noise`` draws in blocks where they land.
 """
 
 from dataclasses import replace
@@ -17,12 +17,13 @@ from dmtlink import _spectral
 from dmtlink.channel import (
     OSNR_REFERENCE_BANDWIDTH,
     LinkConfig,
-    _add_osnr_noise,
-    _lay_noise,
+    _add_noise,
     _lay_window,
     _mean_power,
+    _noise_scale,
     _smooth_length,
     _span_operators,
+    _window_runs,
 )
 from optical_reference import add_osnr_noise, full_grid_port, noise_draws
 
@@ -33,6 +34,12 @@ EPS = np.finfo(np.float64).eps
 
 def _bins(band):
     return np.concatenate([np.arange(start, stop) for start, stop in band])
+
+
+def _add_osnr_noise(spectrum, band, rate, osnr_db, power, seed):
+    """The noise ``receive`` adds to a composite: scaled unit draws on the identity run."""
+    n = spectrum.size
+    _add_noise(spectrum, seed, band, _noise_scale(n, rate, osnr_db, power), ((0, n, 0),))
 
 
 def _sigma(power, osnr_db, rate):
@@ -112,7 +119,7 @@ def _oracle_unit_spectrum(link, n, rx, seed):
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_streamed_noise_is_the_one_shot_draw_bit_for_bit(name, monkeypatch):
-    """``_add_osnr_noise`` draws its noise in blocks where it lands; the sum
+    """``_add_noise`` draws its noise in blocks where it lands; the sum
     equals the one call ``standard_normal(2 * m)`` added in one pass."""
     link, n, rx, block = STREAM_CASES[name]
     if block is not None:
@@ -143,7 +150,33 @@ def test_each_receiver_draws_its_noise_field_from_the_same_stream(name, monkeypa
         start, width = operators.receive_window(ch)
         size = min(_smooth_length(max(width, kept) + kept), n)
         got = np.zeros(size, dtype=np.complex128)
-        _lay_noise(got, 29, band, operators.receive_port(ch), start, width, n)
+        runs = _window_runs(n, size, start, width)
+        _add_noise(got, 29, band, 1.0, runs)
+        for a, b, to in runs:  # through the ports, as ``detect`` does
+            at = (a - start) % n
+            got[to : to + b - a] *= operators.receive_port(ch)[at : at + b - a]
         want = np.empty(size, dtype=np.complex128)
         _lay_window(want, unit, operators.receive_port(ch), start, width)
         assert np.array_equal(got, want), ch
+
+
+def test_receive_passes_the_stream_once_and_a_seeded_detect_once_per_receiver(monkeypatch):
+    """``receive`` adds the noise to the composite in one pass of the stream,
+    before any receiver's grid is laid; only a seeded ``detect``, which keeps
+    each receiver's noise field apart, passes it once per receiver."""
+    passes = []
+    unit_noise = channel_mod._unit_noise
+
+    def counted(*args):
+        passes.append(args)
+        return unit_noise(*args)
+
+    monkeypatch.setattr(channel_mod, "_unit_noise", counted)
+    link, n, rx = replace(THREE_LIT, osnr_db=30.0), 30_016, [0, 1, 2]
+    rng = np.random.default_rng(4)
+    composite = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert len(channel_mod.receive(link, composite.copy(), None, rx, 7)) == len(rx)
+    assert len(passes) == 1
+    passes.clear()
+    channel_mod.detect(link, composite, None, rx, 7)
+    assert len(passes) == len(rx)
